@@ -19,11 +19,12 @@ kernel (``repro.sat.kernel``) on the same smoke formula:
 
 A kernel change that alters any driver's search shows up here as a
 changed estimate (determinism break — hard fail) or a solver-call
-regression.  Each row also records the kernel's ``propagations`` and
-``conflicts`` for that run (per-row deltas of the process-wide
-``KernelTelemetry``), gated the same way as ``solver_calls``: both are
-pure functions of the search, so any increase is a real propagation
-regression, not noise.
+regression.  Each row also records the kernel's ``propagations``,
+``conflicts`` and ``decisions`` for that run (per-row deltas of the
+process-wide ``KernelTelemetry``; on the ``exact:cc`` rows decisions
+are the DPLL decisions ``solver_calls`` already counts), gated the same
+way as ``solver_calls``: all are pure functions of the search, so any
+increase is a real regression, not noise.
 
 Regenerate the baseline after an intentional search/schedule change:
 
@@ -52,12 +53,15 @@ CDM_WIDTH = 6
 CDM_ITERATIONS = 2
 
 
+KERNEL_COLUMNS = ("propagations", "conflicts", "decisions")
+
+
 def _kernel_delta(before: dict, prefix: str) -> dict:
     """Per-run kernel-counter deltas for one telemetry prefix."""
     after = TELEMETRY.snapshot()
     return {key: after.get(f"{prefix}{key}", 0)
             - before.get(f"{prefix}{key}", 0)
-            for key in ("propagations", "conflicts")}
+            for key in KERNEL_COLUMNS}
 
 
 def measure() -> dict:
@@ -137,7 +141,7 @@ def main() -> int:
         else:
             # Kernel-counter gates; baselines written before the
             # columns existed simply skip them.
-            for column in ("propagations", "conflicts"):
+            for column in KERNEL_COLUMNS:
                 if column in want and got[column] > want[column]:
                     note = f"  REGRESSION (more {column} than baseline)"
                     failed = True
@@ -145,6 +149,8 @@ def main() -> int:
               f"(baseline {want['solver_calls']:5d})  "
               f"propagations {got['propagations']:6d} "
               f"(baseline {want.get('propagations', '-'):>6}) "
+              f"decisions {got['decisions']:5d} "
+              f"(baseline {want.get('decisions', '-'):>5}) "
               f"conflicts {got['conflicts']:4d}  "
               f"estimate {got['estimate']}{note}")
     return 1 if failed else 0

@@ -1,11 +1,14 @@
 """Shared fixtures for the benchmark suite.
 
 Every benchmark writes its paper-shaped artifact (table / plot / CSV)
-into ``bench_results/`` so the outputs survive the run; stdout shows the
-same tables when pytest is run with ``-s``.  Beside the human-readable
-artifact, each bench file records its headline numbers machine-readably
-as ``BENCH_<name>.json`` (:func:`emit_json`) so regressions can be
-tracked across commits without parsing tables.
+into the ``results_dir`` fixture: a directory under pytest's temporary
+root by default, so a plain test run leaves the tracked
+``bench_results/`` untouched, and ``bench_results/`` itself when pytest
+is given ``--write-results`` (``pytest benchmarks --write-results``).
+stdout shows the same tables when pytest is run with ``-s``.  Beside
+the human-readable artifact, each bench file records its headline
+numbers machine-readably as ``BENCH_<name>.json`` (:func:`emit_json`)
+so regressions can be tracked across commits without parsing tables.
 """
 
 import json
@@ -19,10 +22,22 @@ import pytest
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "bench_results"
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--write-results", action="store_true", default=False,
+        help="write benchmark artifacts into bench_results/ instead of "
+             "a temporary directory")
+
+
 @pytest.fixture(scope="session")
-def results_dir() -> pathlib.Path:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
+def results_dir(request, tmp_path_factory) -> pathlib.Path:
+    # The option is only registered when pytest loads this conftest
+    # before parsing its arguments (a path under benchmarks/ given on
+    # the command line); otherwise it reads as not given.
+    if request.config.getoption("--write-results", default=False):
+        RESULTS_DIR.mkdir(exist_ok=True)
+        return RESULTS_DIR
+    return tmp_path_factory.mktemp("bench_results")
 
 
 def emit(results_dir: pathlib.Path, name: str, text: str) -> None:

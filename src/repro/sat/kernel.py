@@ -776,6 +776,9 @@ class PropagationKernel:
         self._reason: list = [None]  # Clause | ("xor", row) | None
         self._activity: list[float] = [0.0]
         self._phase: list[bool] = [False]
+        # 1 once a clause or XOR row has mentioned the variable; never
+        # cleared.  Only flagged variables are decided (see _decide).
+        self._constrained = bytearray(1)
         # Frame depth of each variable's level-0 assignment (meaningful
         # only while the variable is root-assigned; popping that frame
         # unassigns it via the trail mark).
@@ -833,9 +836,8 @@ class PropagationKernel:
         self._watches.append([])
         self._lit_vals.append(UNASSIGNED)
         self._lit_vals.append(UNASSIGNED)
-        var = len(self._assigns) - 1
-        heapq.heappush(self._order_heap, (0.0, var))
-        return var
+        self._constrained.append(0)
+        return len(self._assigns) - 1
 
     def new_vars(self, count: int) -> list[int]:
         """Allocate ``count`` fresh variables."""
@@ -865,28 +867,36 @@ class PropagationKernel:
     def add_clause(self, lits: Iterable[int]) -> bool:
         """Add a clause; backtracks to decision level 0 first.
 
+        Every variable the clause mentions becomes constrained, even
+        when the clause itself is dropped as satisfied or tautological.
         Returns False if the solver becomes (or already was) inconsistent.
         """
         self._backtrack(0)
         if not self._ok:
             return False
+        constrained = self._constrained
+        num_vars = self.num_vars()
         seen = set()
         simplified: list[int] = []
+        satisfied = False
         for lit in lits:
             var = lit if lit > 0 else -lit
-            if var <= 0 or var > self.num_vars():
+            if var <= 0 or var > num_vars:
                 raise ValueError(f"unknown variable in literal {lit}")
-            if -lit in seen:
-                return True  # tautology
-            if lit in seen:
+            if not constrained[var]:
+                self._constrain(var)
+            if satisfied or lit in seen:
                 continue
             value = self.value(lit)
-            if value == TRUE:
-                return True  # already satisfied at level 0
+            if -lit in seen or value == TRUE:
+                satisfied = True  # tautology, or satisfied at level 0
+                continue
             if value == FALSE:
                 continue  # literal can never help
             seen.add(lit)
             simplified.append(lit)
+        if satisfied:
+            return True
         if not simplified:
             self._ok = False
             return False
@@ -900,14 +910,27 @@ class PropagationKernel:
         return True
 
     def add_xor(self, variables: list[int], rhs: bool) -> bool:
-        """Add a parity constraint; backtracks to decision level 0 first."""
+        """Add a parity constraint; backtracks to decision level 0 first.
+
+        Every variable of the row becomes constrained.
+        """
         self._backtrack(0)
         if not self._ok:
             return False
         if not self.xor.add_xor(variables, rhs):
             self._ok = False
             return False
+        constrained = self._constrained
+        for var in variables:
+            if not constrained[var]:
+                self._constrain(var)
         return self._propagate_root()
+
+    def _constrain(self, var: int) -> None:
+        """Flag ``var`` as constrained: a decision candidate from now on
+        (see :meth:`CdclDriver._decide`)."""
+        self._constrained[var] = 1
+        heapq.heappush(self._order_heap, (-self._activity[var], var))
 
     def _watch_clause(self, clause: Clause) -> None:
         lits = clause.lits
@@ -941,9 +964,15 @@ class PropagationKernel:
     # frames
     # ------------------------------------------------------------------
     def push(self) -> None:
-        """Open a frame: everything added after this call pops with it."""
+        """Open a frame: everything added after this call pops with it.
+
+        A level-0 literal still queued (a search cut short by its
+        deadline or conflict budget right after learning a unit) is
+        propagated first, so the frame opens on a level-0 fixpoint.
+        """
         self._backtrack(0)
-        self._qhead = len(self._trail)
+        if self._ok and self._propagate() is not None:
+            self._ok = False
         self._frames.append(_Frame(
             self.num_vars(), len(self._clauses), len(self._learnts),
             len(self._trail), self.xor.mark(), self._ok,
@@ -995,6 +1024,7 @@ class PropagationKernel:
             del self._activity[frame.num_vars + 1:]
             del self._phase[frame.num_vars + 1:]
             del self._assign_frame[frame.num_vars + 1:]
+            del self._constrained[frame.num_vars + 1:]
             del self._watches[2 * frame.num_vars:]
             del self._lit_vals[2 * frame.num_vars:]
         if dropped_any:
@@ -1354,9 +1384,10 @@ class PropagationKernel:
             for v in range(1, len(self._activity)):
                 self._activity[v] *= inv
             self._var_inc *= inv
+            constrained = self._constrained
             self._order_heap = [
                 (-self._activity[v], v) for v in range(1, self.num_vars() + 1)
-                if self._assigns[v] == UNASSIGNED
+                if constrained[v] and self._assigns[v] == UNASSIGNED
             ]
             heapq.heapify(self._order_heap)
             return
@@ -1378,9 +1409,15 @@ class PropagationKernel:
     # model access
     # ------------------------------------------------------------------
     def model_value(self, lit: int) -> bool:
-        """Value of ``lit`` in the model found by the last SAT answer."""
+        """Value of ``lit`` in the model found by the last SAT answer.
+
+        A variable no clause or XOR row has mentioned is never decided
+        and reads False.
+        """
         value = self.value(lit)
         if value == UNASSIGNED:
+            if not self._constrained[lit if lit > 0 else -lit]:
+                return lit < 0
             raise RuntimeError(f"literal {lit} unassigned; no model")
         return value == TRUE
 
@@ -1404,15 +1441,27 @@ class CdclDriver(PropagationKernel):
     # decisions
     # ------------------------------------------------------------------
     def _decide(self) -> int | None:
+        """The next decision literal, or None once every constrained
+        variable is assigned (SAT).
+
+        Only constrained variables are candidates.  An unconstrained one
+        would propagate nothing and keep its initial False phase, so
+        skipping it changes neither the order in which constrained
+        variables are decided nor the model.  The constrained test also
+        discards heap entries left by a frame-local variable whose
+        number a later, still unconstrained, variable reuses.
+        """
         heap = self._order_heap
         assigns = self._assigns
+        constrained = self._constrained
         nv = self.num_vars()
         while heap:
             _, var = heapq.heappop(heap)
-            if var <= nv and assigns[var] == UNASSIGNED:
+            if (var <= nv and constrained[var]
+                    and assigns[var] == UNASSIGNED):
                 return var if self._phase[var] else -var
         for var in range(1, nv + 1):  # heap exhausted: linear fallback
-            if assigns[var] == UNASSIGNED:
+            if constrained[var] and assigns[var] == UNASSIGNED:
                 return var if self._phase[var] else -var
         return None
 
@@ -1475,7 +1524,9 @@ class CdclDriver(PropagationKernel):
         if not self.xor.eliminate_root():
             self._ok = False
             return False
-        self._qhead = 0  # re-propagate: frames may have changed the DB
+        # The level-0 trail is already at fixpoint (every path that
+        # extends it propagates); this only runs the units elimination
+        # just derived and any literal a cut-short search left queued.
         if self._propagate() is not None:
             self._ok = False
             return False

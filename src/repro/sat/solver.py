@@ -16,6 +16,7 @@ repeated incremental solves):
 * first-UIP conflict analysis with clause minimisation (self-subsumption
   against reason clauses);
 * VSIDS variable activities with a lazy max-heap, phase saving;
+  only variables some clause or XOR row mentions are decided;
 * Luby-sequence restarts;
 * LBD-ranked learnt-clause database reduction (glue clauses kept);
 * native XOR rows via :class:`repro.sat.xor_engine.XorEngine`, with

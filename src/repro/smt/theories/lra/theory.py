@@ -8,7 +8,10 @@ weak atoms, so negation of any atom stays convex:
     not (e < c)   ->  e >= c  (i.e. -e <= -c)
 
 :class:`LraTheory` owns the atom registry (Bool abstraction variable <->
-atom) and performs the per-assignment feasibility check.
+atom) and performs the per-assignment feasibility check.  The verdict
+depends only on the atoms' polarities, so it is memoised per polarity
+vector: a counting loop that enumerates thousands of SAT models over a
+handful of atoms runs simplex once per vector, not once per model.
 """
 
 from __future__ import annotations
@@ -115,6 +118,11 @@ def normalise_atom(atom: Term) -> LinearAtom:
     return LinearAtom(coefficients, atom.op == Op.REAL_LT, constant)
 
 
+# Verdicts kept per theory: 2^k for k atoms, capped so an atom-heavy
+# problem cannot grow the memo without bound.
+_MEMO_LIMIT = 4096
+
+
 class LraTheory:
     """Registry of abstracted atoms plus the per-assignment check."""
 
@@ -122,11 +130,15 @@ class LraTheory:
         # ordered registry: (atom term, LinearAtom, sat literal)
         self._atoms: list[tuple[Term, LinearAtom, int]] = []
         self._frame_marks: list[int] = []
+        # polarity tuple (one bool per registered atom, in order) ->
+        # (feasible, payload) as the simplex computed it
+        self._memo: dict[tuple[bool, ...], tuple[bool, object]] = {}
         self.checks = 0
         self.conflicts = 0
 
     def register(self, atom: Term, sat_lit: int) -> None:
         self._atoms.append((atom, normalise_atom(atom), sat_lit))
+        self._memo.clear()
 
     def has_atoms(self) -> bool:
         return bool(self._atoms)
@@ -137,16 +149,34 @@ class LraTheory:
 
     def pop(self) -> None:
         mark = self._frame_marks.pop()
-        del self._atoms[mark:]
+        if len(self._atoms) > mark:
+            del self._atoms[mark:]
+            self._memo.clear()
 
     # the check ----------------------------------------------------------
     def check(self, sat_model_value) -> tuple[bool, object]:
         """Check the current atom polarities for feasibility.
 
         ``sat_model_value(lit) -> bool`` reads the SAT model.  Returns
-        (True, real_model_dict) or (False, conflict_clause_lits).
+        (True, real_model_dict) or (False, conflict_clause_lits), a
+        fresh copy on every call.  ``checks`` and ``conflicts`` count
+        every call, memoised or not.
         """
         self.checks += 1
+        key = tuple(sat_model_value(lit) for _term, _atom, lit in self._atoms)
+        verdict = self._memo.get(key)
+        if verdict is None:
+            verdict = self._solve(key)
+            if len(self._memo) < _MEMO_LIMIT:
+                self._memo[key] = verdict
+        feasible, payload = verdict
+        if feasible:
+            return True, dict(payload)
+        self.conflicts += 1
+        return False, list(payload)
+
+    def _solve(self, polarities: tuple[bool, ...]) -> tuple[bool, object]:
+        """One simplex run over the atoms at ``polarities``."""
         simplex = Simplex()
         variables: dict[Term, int] = {}
 
@@ -156,8 +186,7 @@ class LraTheory:
             return variables[term]
 
         conflict_tags = None
-        for atom_term, atom, lit in self._atoms:
-            polarity = sat_model_value(lit)
+        for (_term, atom, lit), polarity in zip(self._atoms, polarities):
             coeffs = {var_id(v): c for v, c in atom.coefficients.items()}
             slack = simplex.define(coeffs)
             if polarity:
@@ -176,7 +205,6 @@ class LraTheory:
                          for term, vid in variables.items()}
                 return True, model
             conflict_tags = tags
-        self.conflicts += 1
         # Blocking clause: at least one of the participating polarities
         # must flip.  Tags are the literals asserted true by the model.
         return False, [-tag for tag in conflict_tags]

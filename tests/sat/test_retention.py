@@ -6,12 +6,18 @@ clauses are *entailed* by the surviving formula, so model enumeration
 after any push/solve/pop history returns exactly the same model set as a
 fresh solver — cross-checked against brute-force enumeration via
 ``XorEngine.check_model`` and direct clause evaluation.
+
+The same push/solve/pop histories also pin the level-0 fixpoint that
+``solve()`` relies on: it propagates only the queued tail of the trail,
+never the whole level-0 trail again.
 """
 
+import copy
 import random
 
 import pytest
 
+from repro.errors import ResourceBudgetError
 from repro.sat import SatSolver
 
 
@@ -47,12 +53,29 @@ def _brute_force_models(num_vars, clauses, xors):
     return models
 
 
+def _assert_root_fixpoint(solver):
+    """Re-propagating the whole level-0 trail of a copy of ``solver``
+    assigns nothing new and finds no conflict."""
+    probe = copy.deepcopy(solver)
+    probe._backtrack(0)
+    if not probe.ok:
+        return
+    trail = list(probe._trail)
+    probe._qhead = 0
+    assert probe._propagate() is None
+    assert probe._trail == trail
+
+
 def _enumerate_models(solver, num_vars):
     """All models in the solver's current frame (enumerated in a nested
-    blocking frame, like SaturatingCounter)."""
+    blocking frame, like SaturatingCounter), each solve starting from a
+    level-0 fixpoint."""
     models = set()
     solver.push()
-    while solver.solve():
+    while True:
+        _assert_root_fixpoint(solver)
+        if not solver.solve():
+            break
         bits = 0
         blocking = []
         for v in range(1, num_vars + 1):
@@ -270,3 +293,121 @@ class TestXorTruncate:
             assert got == want
             solver.pop()
             assert len(solver.xor) <= len(base_xors)
+
+
+def _root_len(solver):
+    return solver._trail_lim[0] if solver._trail_lim else len(solver._trail)
+
+
+def _satisfies(model, clauses, xors):
+    return (all(any(model[l] if l > 0 else not model[-l] for l in clause)
+                for clause in clauses)
+            and all(sum(model[v] for v in variables) % 2 == rhs
+                    for variables, rhs in xors))
+
+
+def _random_history(seed, covered):
+    """One random push/add/solve/pop history over 8 variables; tallies
+    in ``covered`` the level-0 paths it went through."""
+    rng = random.Random(6600 + seed)
+    num_vars = 8
+    hidden = [None] + [rng.random() < 0.5 for _ in range(num_vars)]
+    solver = SatSolver()
+    solver.new_vars(num_vars)
+    frames = [([], [])]  # (clauses, xors) added in each frame
+
+    def clause_of(width, planted):
+        while True:
+            clause = [v if rng.random() < 0.5 else -v
+                      for v in rng.sample(range(1, num_vars + 1), width)]
+            if not planted or any(hidden[abs(l)] == (l > 0)
+                                  for l in clause):
+                return clause
+
+    def solve():
+        clauses = [c for frame in frames for c in frame[0]]
+        xors = [x for frame in frames for x in frame[1]]
+        root_rows = sum(row.birth == 0 for row in solver.xor.rows)
+        if len(frames) == 1 and root_rows >= 2:
+            covered["root_elimination"] += 1
+        root = _root_len(solver)
+        _assert_root_fixpoint(solver)
+        verdict = solver.solve()
+        if len(frames) > 1 and _root_len(solver) > root:
+            covered["unit_learnts"] += 1
+        if verdict:
+            assert _satisfies(solver.model(), clauses, xors)
+        else:
+            assert not _brute_force_models(num_vars, clauses, xors)
+        return verdict
+
+    for _ in range(40):
+        op = rng.random()
+        planted = len(frames) == 1  # the root formula stays satisfiable
+        if op < 0.35:
+            clause = clause_of(rng.choice((1, 2, 3, 3, 3)), planted)
+            if len(clause) == 1 and not planted:
+                covered["frame_units"] += 1
+            frames[-1][0].append(clause)
+            solver.add_clause(clause)
+        elif op < 0.45:
+            variables = rng.sample(range(1, num_vars + 1), rng.randint(2, 4))
+            rhs = (sum(hidden[v] for v in variables) % 2 == 1
+                   if planted else rng.random() < 0.5)
+            frames[-1][1].append((variables, rhs))
+            solver.add_xor(variables, rhs)
+        elif op < 0.55 and len(frames) < 4:
+            frames.append(([], []))
+            solver.push()
+        elif op < 0.65 and len(frames) > 1:
+            frames.pop()
+            solver.pop()
+        elif solve() and planted:
+            # A lemma the model violates but the hidden assignment
+            # satisfies, then solve again.
+            model = solver.model()
+            lemma = [v if hidden[v] else -v for v in range(1, num_vars + 1)
+                     if model[v] != hidden[v]][:3]
+            if lemma:
+                covered["lemmas"] += 1
+                frames[-1][0].append(lemma)
+                solver.add_clause(lemma)
+                solve()
+    solve()
+
+
+class TestRootFixpoint:
+    def test_random_histories_solve_from_a_root_fixpoint(self):
+        """Random push/add/solve/pop histories: before every solve the
+        level-0 trail is at fixpoint, every SAT model satisfies every
+        active clause and row, and every UNSAT verdict is brute-force
+        UNSAT.  The histories cover units inside frames, root XOR rows
+        that make ``eliminate_root`` run, clauses added between solves
+        (the LRA lemma path) and unit learnt clauses."""
+        covered = dict.fromkeys(
+            ("frame_units", "root_elimination", "lemmas", "unit_learnts"),
+            0)
+        for seed in range(30):
+            _random_history(seed, covered)
+        assert all(covered.values()), covered
+
+    def test_cut_short_search_leaves_no_unpropagated_root_literal(self):
+        """A conflict budget can end a search right after a unit learnt
+        is enqueued at level 0; the next frame still opens on a
+        fixpoint, with the unit's consequences at level 0."""
+        solver = SatSolver()
+        solver.new_vars(3)
+        solver.add_clause([1, 2])
+        solver.add_clause([1, -2])
+        solver.add_clause([-1, 3])
+        # Deciding -1 conflicts at once; the learnt unit 1 implies 3.
+        with pytest.raises(ResourceBudgetError):
+            solver.solve(conflict_budget=1)
+        assert solver._trail == [1]
+        solver.push()
+        assert solver._trail == [1, 3]
+        _assert_root_fixpoint(solver)
+        assert solver.solve() is True
+        solver.pop()
+        assert solver._trail[:2] == [1, 3]
+        _assert_root_fixpoint(solver)

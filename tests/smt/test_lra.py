@@ -13,7 +13,9 @@ from repro.smt import (
 )
 from repro.smt.theories.lra.delta import DeltaRational
 from repro.smt.theories.lra.simplex import Simplex
-from repro.smt.theories.lra.theory import linearise, normalise_atom
+from repro.smt.theories.lra.theory import (
+    LraTheory, linearise, normalise_atom,
+)
 
 
 class TestDeltaRational:
@@ -169,6 +171,90 @@ class TestLinearise:
         assert normalised.coefficients == {x: 1, y: -1}
         assert normalised.constant == 3
         assert not normalised.strict
+
+
+def _random_atoms(rng, count):
+    """``count`` random linear atoms over three real variables."""
+    variables = [real_var(f"memo{i}") for i in range(3)]
+    atoms = []
+    for _ in range(count):
+        expr = real_val(0)
+        for var in variables:
+            coefficient = rng.randint(-2, 2)
+            if coefficient:
+                expr = real_add(expr, real_mul(real_val(coefficient), var))
+        relation = real_lt if rng.random() < 0.5 else real_le
+        atoms.append(relation(expr, real_val(rng.randint(-3, 3))))
+    return atoms
+
+
+def _polarity(vector):
+    """A SAT-model reader giving atom literal i+1 the polarity
+    ``vector[i]``."""
+    return lambda lit: vector[lit - 1] if lit > 0 else not vector[-lit - 1]
+
+
+def _theory(atoms):
+    theory = LraTheory()
+    for literal, atom in enumerate(atoms, start=1):
+        theory.register(atom, literal)
+    return theory
+
+
+class TestVerdictMemo:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_memoised_answers_equal_fresh_ones(self, seed):
+        """Every polarity vector, asked twice in shuffled order, gets the
+        verdict and payload a fresh theory computes; every call counts."""
+        rng = random.Random(400 + seed)
+        atoms = _random_atoms(rng, rng.randint(2, 5))
+        vectors = [tuple(bool((bits >> i) & 1) for i in range(len(atoms)))
+                   for bits in range(1 << len(atoms))] * 2
+        rng.shuffle(vectors)
+        theory = _theory(atoms)
+        infeasible = 0
+        for vector in vectors:
+            got = theory.check(_polarity(vector))
+            assert got == _theory(atoms).check(_polarity(vector))
+            infeasible += not got[0]
+        assert theory.checks == len(vectors)
+        assert theory.conflicts == infeasible
+
+    def test_atom_registered_at_a_reused_position_gets_its_own_verdict(self):
+        x = real_var("memo_x")
+        theory = LraTheory()
+        theory.register(real_le(x, real_val(0)), 1)
+        both = _polarity((True, True))
+        theory.push()
+        theory.register(real_ge(x, real_val(1)), 2)  # x <= 0 and x >= 1
+        assert theory.check(both)[0] is False
+        theory.pop()
+        theory.push()
+        theory.register(real_le(x, real_val(5)), 2)  # x <= 0 and x <= 5
+        feasible, model = theory.check(both)
+        assert feasible is True
+        assert model[x] <= 0
+        theory.pop()
+
+    def test_mutating_an_answer_leaves_the_next_one_intact(self):
+        x, y = real_var("memo_mx"), real_var("memo_my")
+        atoms = [real_le(real_add(x, y), real_val(1)),
+                 real_ge(x, real_val(1)), real_ge(y, real_val(1))]
+        theory = _theory(atoms)
+        sat, unsat = _polarity((True, True, False)), _polarity((True,) * 3)
+        expected = {vector: _theory(atoms).check(vector)
+                    for vector in (sat, unsat)}
+        feasible, model = theory.check(sat)
+        assert feasible is True
+        model[x] = Fraction(99)
+        model.clear()
+        feasible, clause = theory.check(unsat)
+        assert feasible is False
+        clause.append(42)
+        clause.clear()
+        assert theory.check(sat) == expected[sat]
+        assert theory.check(unsat) == expected[unsat]
+        assert (theory.checks, theory.conflicts) == (4, 2)
 
 
 class TestEndToEnd:
