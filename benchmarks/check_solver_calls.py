@@ -12,6 +12,9 @@ kernel (``repro.sat.kernel``) on the same smoke formula:
 
 * the pact family rows and the ``cdm`` row drive the CDCL driver
   (watched literals, XOR rows, push/pop ladder frames);
+* the ``enum`` row drives the CDCL driver's projected-model
+  enumeration alone (no hash frames, one block per model), and its
+  count must stay exact;
 * the ``exact:cc`` row drives the component-splitting DPLL driver —
   its ``solver_calls`` are DPLL decisions, a pure function of the
   clause DB plus the shared presolve lemmas, and its count must stay
@@ -35,7 +38,7 @@ import json
 import pathlib
 import sys
 
-from repro.core import PactConfig, cdm_count, pact_count
+from repro.core import PactConfig, cdm_count, exact_count, pact_count
 from repro.count_exact import cc_count
 from repro.engine.pool import ExecutionPool
 from repro.sat.kernel import TELEMETRY
@@ -88,6 +91,14 @@ def measure() -> dict:
     results["cdm"] = {"solver_calls": cdm.solver_calls,
                       "estimate": cdm.estimate,
                       **_kernel_delta(before, "cdm.")}
+    x = bv_var("ci_enum", WIDTH)
+    before = TELEMETRY.snapshot()
+    enum = exact_count([bv_ult(x, bv_val(bound, WIDTH))], [x], timeout=300)
+    assert enum.solved, "enum: smoke instance did not solve"
+    assert enum.estimate == bound, f"enum: {enum.estimate} != {bound}"
+    results["enum"] = {"solver_calls": enum.solver_calls,
+                       "estimate": enum.estimate,
+                       **_kernel_delta(before, "enum.")}
     x = bv_var("ci_exact_cc", WIDTH)
     before = TELEMETRY.snapshot()
     exact = cc_count([bv_ult(x, bv_val(bound, WIDTH))], [x], timeout=300)
@@ -127,7 +138,7 @@ def main() -> int:
         return 0
     baseline = json.loads(BASELINE_PATH.read_text())
     failed = False
-    keys = list(FAMILIES) + ["cdm", "exact:cc", "exact:cc:par"]
+    keys = list(FAMILIES) + ["cdm", "enum", "exact:cc", "exact:cc:par"]
     for family in keys:
         got = measured[family]
         want = baseline[family]

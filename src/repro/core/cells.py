@@ -7,7 +7,9 @@ threshold is reached (the cell is *saturated*, returned as
 
 Blocking clauses are confined to a nested frame so the cell's parent
 formula is untouched afterwards — this is pact's incremental-solving
-discipline (section III-F).
+discipline (section III-F).  The SAT core builds each one from the
+model's projection decisions and resumes the search from it
+(:meth:`SmtSolver.block_projection`, DESIGN.md §10.5).
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ def saturating_count(solver: SmtSolver, projection: list[Term],
                      calls: CallCounter):
     """Count projected solutions in the current frame, saturating at
     ``thresh``.  Returns an int < thresh, or :data:`SATURATED`."""
-    bits_of = [solver.ensure_bits(var) for var in projection]
+    solver.set_projection(projection)
     solver.push()
     try:
         count = 0
@@ -83,13 +85,7 @@ def saturating_count(solver: SmtSolver, projection: list[Term],
             if not is_sat:
                 return count
             count += 1
-            blocking = []
-            for var, bits in zip(projection, bits_of):
-                value = solver.bv_value(var)
-                for position, literal in enumerate(bits):
-                    blocking.append(
-                        -literal if (value >> position) & 1 else literal)
-            solver.add_clause_lits(blocking)
+            solver.block_projection()
         return SATURATED
     finally:
         solver.pop()

@@ -12,6 +12,7 @@ import time
 
 from repro.core.result import CountResult
 from repro.errors import SolverTimeoutError
+from repro.sat.kernel import TELEMETRY
 from repro.smt.solver import SmtSolver
 from repro.smt.terms import Term
 from repro.status import Status
@@ -36,7 +37,7 @@ def exact_count(assertions, projection: list[Term],
         deadline = Deadline(timeout)
     solver = SmtSolver()
     solver.assert_all(assertions)
-    bits_of = [solver.ensure_bits(var) for var in projection]
+    solver.set_projection(projection)
     count = 0
     calls = 0
     try:
@@ -56,17 +57,15 @@ def exact_count(assertions, projection: list[Term],
                     f"at least {count} projected solutions "
                     f"(limit {limit} tripped; partial enumeration "
                     f"is a lower bound, not an estimate)")
-            blocking = []
-            for var, bits in zip(projection, bits_of):
-                value = solver.bv_value(var)
-                for position, literal in enumerate(bits):
-                    blocking.append(
-                        -literal if (value >> position) & 1 else literal)
-            solver.add_clause_lits(blocking)
+            solver.block_projection()
     except SolverTimeoutError:
         return CountResult(
             estimate=None, status=Status.TIMEOUT, solver_calls=calls,
             time_seconds=time.monotonic() - start)
+    finally:
+        # One kernel-telemetry merge per count, as pact_count/cdm_count
+        # do, so ``--counter enum --stats`` reports its solves.
+        TELEMETRY.merge(solver.sat.stats, prefix="enum.")
     return CountResult(
         estimate=count, status=Status.OK, exact=True, solver_calls=calls,
         sat_answers=count, time_seconds=time.monotonic() - start)

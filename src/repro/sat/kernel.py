@@ -21,7 +21,9 @@ This module folds both into one kernel with pluggable *search drivers*:
   learnt-clause retention, snapshot/clone seeding.
 * **:class:`CdclDriver`** — the CDCL search policy (VSIDS decisions,
   Luby restarts, LBD-ranked DB reduction with glue protection) over the
-  kernel's blocking-literal watchers.  ``repro.sat.solver.SatSolver``
+  kernel's blocking-literal watchers, plus projected-model enumeration
+  (projection decisions first, a model blocked by them, the search
+  resumed at the asserting level).  ``repro.sat.solver.SatSolver``
   *is* this driver; its public API is unchanged.
 * **:class:`ComponentDriver`** — the component-splitting DPLL driver
   used by ``exact:cc``: kernel BCP over the occurrence index with
@@ -54,7 +56,7 @@ import heapq
 import threading
 from typing import Iterable, NamedTuple
 
-from repro.errors import ResourceBudgetError
+from repro.errors import ResourceBudgetError, SolverTimeoutError
 from repro.sat.clause import Clause
 from repro.sat.types import FALSE, TRUE, UNASSIGNED, lit_index
 from repro.sat.xor_engine import XorEngine
@@ -779,6 +781,13 @@ class PropagationKernel:
         # 1 once a clause or XOR row has mentioned the variable; never
         # cleared.  Only flagged variables are decided (see _decide).
         self._constrained = bytearray(1)
+        # 1 for the projection's variables (CdclDriver.set_projection).
+        # They have a VSIDS heap of their own, which _decide drains
+        # before it looks at _order_heap.
+        self._projected = bytearray(1)
+        self._projection: tuple[int, ...] = ()
+        self._projection_mask = 0  # same set, as an assigned_mask view
+        self._proj_heap: list[tuple[float, int]] = []
         # Frame depth of each variable's level-0 assignment (meaningful
         # only while the variable is root-assigned; popping that frame
         # unassigns it via the trail mark).
@@ -837,6 +846,7 @@ class PropagationKernel:
         self._lit_vals.append(UNASSIGNED)
         self._lit_vals.append(UNASSIGNED)
         self._constrained.append(0)
+        self._projected.append(0)
         return len(self._assigns) - 1
 
     def new_vars(self, count: int) -> list[int]:
@@ -1025,6 +1035,7 @@ class PropagationKernel:
             del self._phase[frame.num_vars + 1:]
             del self._assign_frame[frame.num_vars + 1:]
             del self._constrained[frame.num_vars + 1:]
+            del self._projected[frame.num_vars + 1:]
             del self._watches[2 * frame.num_vars:]
             del self._lit_vals[2 * frame.num_vars:]
         if dropped_any:
@@ -1145,7 +1156,9 @@ class PropagationKernel:
         bit = 1 << var
         self.assigned_mask &= ~bit
         self.true_mask &= ~bit
-        heapq.heappush(self._order_heap, (-self._activity[var], var))
+        heapq.heappush(
+            self._proj_heap if self._projected[var] else self._order_heap,
+            (-self._activity[var], var))
 
     def _backtrack(self, level: int) -> None:
         if len(self._trail_lim) <= level:
@@ -1385,13 +1398,22 @@ class PropagationKernel:
                 self._activity[v] *= inv
             self._var_inc *= inv
             constrained = self._constrained
+            projected = self._projected
             self._order_heap = [
                 (-self._activity[v], v) for v in range(1, self.num_vars() + 1)
-                if constrained[v] and self._assigns[v] == UNASSIGNED
+                if constrained[v] and not projected[v]
+                and self._assigns[v] == UNASSIGNED
             ]
             heapq.heapify(self._order_heap)
+            self._proj_heap = [
+                (-self._activity[v], v) for v in self._projection
+                if self._assigns[v] == UNASSIGNED
+            ]
+            heapq.heapify(self._proj_heap)
             return
-        heapq.heappush(self._order_heap, (-act, var))
+        heapq.heappush(
+            self._proj_heap if self._projected[var] else self._order_heap,
+            (-act, var))
 
     def _bump_clause(self, clause: Clause) -> None:
         clause.activity += self._cla_inc
@@ -1430,7 +1452,9 @@ class PropagationKernel:
 
 class CdclDriver(PropagationKernel):
     """The CDCL search driver: VSIDS decisions, Luby restarts and
-    LBD-ranked learnt-DB reduction over the propagation kernel.
+    LBD-ranked learnt-DB reduction over the propagation kernel, plus
+    projected-model enumeration (:meth:`set_projection`,
+    :meth:`block_projection`).
 
     ``repro.sat.solver.SatSolver`` subclasses this unchanged — the
     public ``solve``/``push``/``pop``/``snapshot`` surface is exactly
@@ -1444,15 +1468,24 @@ class CdclDriver(PropagationKernel):
         """The next decision literal, or None once every constrained
         variable is assigned (SAT).
 
-        Only constrained variables are candidates.  An unconstrained one
-        would propagate nothing and keep its initial False phase, so
-        skipping it changes neither the order in which constrained
-        variables are decided nor the model.  The constrained test also
-        discards heap entries left by a frame-local variable whose
-        number a later, still unconstrained, variable reuses.
+        An unassigned projection variable comes first, highest VSIDS
+        activity first; so every decision below the last projection
+        decision is itself a projection decision (DESIGN.md §10.5).
+        After that only constrained variables are candidates.  An
+        unconstrained one would propagate nothing and keep its initial
+        False phase, so skipping it changes neither the order in which
+        constrained variables are decided nor the model.  The
+        constrained test also discards heap entries left by a
+        frame-local variable whose number a later, still unconstrained,
+        variable reuses.
         """
-        heap = self._order_heap
         assigns = self._assigns
+        proj_heap = self._proj_heap
+        while proj_heap:
+            _, var = heapq.heappop(proj_heap)
+            if assigns[var] == UNASSIGNED:
+                return var if self._phase[var] else -var
+        heap = self._order_heap
         constrained = self._constrained
         nv = self.num_vars()
         while heap:
@@ -1460,10 +1493,96 @@ class CdclDriver(PropagationKernel):
             if (var <= nv and constrained[var]
                     and assigns[var] == UNASSIGNED):
                 return var if self._phase[var] else -var
-        for var in range(1, nv + 1):  # heap exhausted: linear fallback
+        # Heaps exhausted: linear fallback, projection first.
+        for var in self._projection:
+            if assigns[var] == UNASSIGNED:
+                return var if self._phase[var] else -var
+        for var in range(1, nv + 1):
             if constrained[var] and assigns[var] == UNASSIGNED:
                 return var if self._phase[var] else -var
         return None
+
+    # ------------------------------------------------------------------
+    # projected-model enumeration
+    # ------------------------------------------------------------------
+    def set_projection(self, variables: Iterable[int]) -> None:
+        """Make ``variables`` the projection: decided before every other
+        variable, and the variables :meth:`block_projection` blocks by.
+
+        Each must be a root variable (allocated outside every frame, so
+        no pop drops it); anything else raises ``ValueError``.  Each
+        becomes constrained, so a projection variable no clause mentions
+        is still decided, both ways.  Replaces the previous projection;
+        setting the same one again is a no-op.
+        """
+        projection = tuple(sorted(set(variables)))
+        if projection == self._projection:
+            return
+        limit = self._frames[0].num_vars if self._frames else self.num_vars()
+        for var in projection:
+            if not (isinstance(var, int) and 1 <= var <= limit):
+                raise ValueError(
+                    f"projection variable {var!r} is not a root variable")
+        self._backtrack(0)
+        projected = self._projected
+        for var in self._projection:
+            projected[var] = 0
+        for var in projection:
+            projected[var] = 1
+            self._constrained[var] = 1
+        for var in self._projection:
+            if not projected[var] and self._assigns[var] == UNASSIGNED:
+                heapq.heappush(self._order_heap,
+                               (-self._activity[var], var))
+        self._projection = projection
+        self._projection_mask = sum(1 << var for var in projection)
+        self._proj_heap = [(-self._activity[var], var)
+                           for var in projection
+                           if self._assigns[var] == UNASSIGNED]
+        heapq.heapify(self._proj_heap)
+
+    def block_projection(self) -> None:
+        """Exclude every model with the projection of the model the last
+        SAT answer found, and leave the search ready to resume.
+
+        The model's leading decisions d1..dm are all on projection
+        variables (:meth:`_decide` takes those first), and with the
+        level-0 trail they imply every projection variable.  So the
+        clause ¬d1 ∨ … ∨ ¬dm, added to the current frame, blocks exactly
+        this one projected model (DESIGN.md §10.5).  The search then
+        backjumps to level m−1 and asserts ¬dm with that clause as the
+        reason; the next :meth:`solve` continues from there.  With m = 1
+        the clause is a level-0 unit of the frame; with m = 0 the frame
+        becomes unsatisfiable.
+        """
+        trail = self._trail
+        trail_lim = self._trail_lim
+        mask = self._projection_mask
+        if self._qhead != len(trail) or (self.assigned_mask & mask) != mask:
+            raise RuntimeError("block_projection() needs a SAT answer")
+        projected = self._projected
+        leading = 0  # m
+        for bound in trail_lim:
+            lit = trail[bound]
+            if not projected[lit if lit > 0 else -lit]:
+                break
+            leading += 1
+        if leading == 0:
+            self._backtrack(0)
+            self._ok = False
+            return
+        # lits[0] is asserted once the backjump frees it; lits[1], the
+        # negated decision of level m-1, is its partner watch.
+        lits = [-trail[trail_lim[level]]
+                for level in range(leading - 1, -1, -1)]
+        self._backtrack(leading - 1)
+        if leading == 1:
+            self._enqueue(lits[0], None)
+            return
+        clause = Clause(lits, dep=len(self._frames))
+        self._clauses.append(clause)
+        self._watch_clause(clause)
+        self._enqueue(lits[0], clause)
 
     # ------------------------------------------------------------------
     # learnt clause DB reduction
@@ -1512,7 +1631,12 @@ class CdclDriver(PropagationKernel):
         Returns True (SAT, model available via :meth:`model_value`),
         False (UNSAT).  Raises :class:`SolverTimeoutError` on deadline
         expiry and :class:`ResourceBudgetError` when ``conflict_budget``
-        conflicts have been spent.
+        conflicts have been spent; either way the solver is left at
+        decision level 0.
+
+        A trail that holds decisions plus a queued literal — left only
+        by :meth:`block_projection` — is resumed where it stands.  Any
+        other call starts from level 0.
         """
         self.stats["solves"] += 1
         if deadline is None:
@@ -1520,32 +1644,38 @@ class CdclDriver(PropagationKernel):
         deadline.check()
         if not self._ok:
             return False
-        self._backtrack(0)
-        if not self.xor.eliminate_root():
-            self._ok = False
-            return False
-        # The level-0 trail is already at fixpoint (every path that
-        # extends it propagates); this only runs the units elimination
-        # just derived and any literal a cut-short search left queued.
-        if self._propagate() is not None:
-            self._ok = False
-            return False
+        if not self._trail_lim or self._qhead == len(self._trail):
+            self._backtrack(0)
+            if not self.xor.eliminate_root():
+                self._ok = False
+                return False
+            # The level-0 trail is already at fixpoint (every path that
+            # extends it propagates); this only runs the units
+            # elimination just derived and any literal a cut-short
+            # search or block_projection left queued.
+            if self._propagate() is not None:
+                self._ok = False
+                return False
         conflicts_total = 0
         restart_count = 0
-        while True:
-            restart_count += 1
-            budget = _RESTART_BASE * luby(restart_count)
-            result = self._search(budget, deadline, conflict_budget,
-                                  conflicts_total)
-            conflicts_total += abs(result[1])
-            if result[0] is not None:
-                return result[0]
-            self.stats["restarts"] += 1
+        try:
+            while True:
+                restart_count += 1
+                budget = _RESTART_BASE * luby(restart_count)
+                result = self._search(budget, deadline, conflict_budget,
+                                      conflicts_total)
+                conflicts_total += abs(result[1])
+                if result[0] is not None:
+                    return result[0]
+                self.stats["restarts"] += 1
+                self._backtrack(0)
+                if (conflict_budget is not None
+                        and conflicts_total >= conflict_budget):
+                    raise ResourceBudgetError(
+                        f"conflict budget {conflict_budget} exhausted")
+        except SolverTimeoutError:
             self._backtrack(0)
-            if (conflict_budget is not None
-                    and conflicts_total >= conflict_budget):
-                raise ResourceBudgetError(
-                    f"conflict budget {conflict_budget} exhausted")
+            raise
 
     def _search(self, budget: int, deadline: Deadline,
                 conflict_budget: int | None,

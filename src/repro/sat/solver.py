@@ -17,6 +17,10 @@ repeated incremental solves):
   against reason clauses);
 * VSIDS variable activities with a lazy max-heap, phase saving;
   only variables some clause or XOR row mentions are decided;
+* projected-model enumeration: projection variables are decided first,
+  and a model is blocked by its projection decisions, with the search
+  resumed at the asserting level (``set_projection`` /
+  ``block_projection``);
 * Luby-sequence restarts;
 * LBD-ranked learnt-clause database reduction (glue clauses kept);
 * native XOR rows via :class:`repro.sat.xor_engine.XorEngine`, with

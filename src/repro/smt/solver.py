@@ -164,8 +164,23 @@ class SmtSolver:
         self.sat.add_xor(variables, parity)
 
     def add_clause_lits(self, literals: list[int]) -> None:
-        """Add a raw clause over SAT literals (blocking clauses)."""
+        """Add a raw clause over SAT literals."""
         self.sat.add_clause(literals)
+
+    def set_projection(self, projection: list[Term]) -> None:
+        """Enumerate over ``projection``: its bits are decided first and
+        :meth:`block_projection` blocks models by them (see
+        :meth:`repro.sat.kernel.CdclDriver.set_projection`).  Their
+        bits must be root variables: blast the variables at the root
+        frame, as :meth:`ensure_bits` does when called there."""
+        self.sat.set_projection(abs(literal) for var in projection
+                                for literal in self.ensure_bits(var))
+
+    def block_projection(self) -> None:
+        """After a SAT answer, exclude every model with this model's
+        projection; the next :meth:`check` resumes the search from the
+        blocked decision instead of from level 0."""
+        self.sat.block_projection()
 
     # ------------------------------------------------------------------
     # solving

@@ -7,7 +7,10 @@ import pytest
 from repro.core.cells import SATURATED, CallCounter, saturating_count
 from repro.core.search import find_boundary
 from repro.errors import CounterError
-from repro.smt import SmtSolver, bv_val, bv_var, bv_ult
+from repro.smt import (
+    Equals, Implies, SmtSolver, bv_extract, bv_ult, bv_val, bv_var,
+    real_gt, real_lt, real_val, real_var,
+)
 from repro.utils.deadline import Deadline
 
 
@@ -58,6 +61,50 @@ class TestSaturatingCounter:
         result = saturating_count(solver, [x], 10, Deadline.unlimited(),
                                   calls)
         assert result is SATURATED  # thresh solutions means >= thresh
+
+
+class TestProjectionBlocking:
+    """A cell is enumerated by blocking each model's projection
+    decisions (DESIGN.md §10.5): a projection variable no assertion
+    mentions is still enumerated both ways, LRA lemmas added between
+    models do not disturb the blocking, and every call but the last
+    finds one new projected model."""
+
+    THRESHOLDS = (7, 24, 25, 200)
+
+    def check(self, solver, projection, expected):
+        for thresh in self.THRESHOLDS:
+            calls = CallCounter()
+            result = saturating_count(solver, projection, thresh,
+                                      Deadline.unlimited(), calls)
+            if expected < thresh:
+                assert result == expected
+                assert calls.solver_calls == expected + 1
+            else:
+                assert result is SATURATED
+                assert calls.solver_calls == thresh
+
+    def test_unmentioned_projection_variable(self):
+        solver = SmtSolver()
+        x = bv_var("sc_free_x", 2)
+        y = bv_var("sc_free_y", 4)
+        solver.assert_term(bv_ult(y, bv_val(6, 4)))
+        self.check(solver, [x, y], 4 * 6)
+
+    def test_unmentioned_projection_variable_lra_cell(self):
+        solver = SmtSolver()
+        x = bv_var("sc_lra_x", 2)
+        y = bv_var("sc_lra_y", 3)
+        r = real_var("sc_lra_r")
+        one = bv_val(1, 1)
+        # y's bits 0 and 1 force contradictory bounds on r, so the
+        # Boolean models with both set (y = 3, 7) fail the simplex.
+        solver.assert_term(Implies(Equals(bv_extract(y, 0, 0), one),
+                                   real_lt(r, real_val(1))))
+        solver.assert_term(Implies(Equals(bv_extract(y, 1, 1), one),
+                                   real_gt(r, real_val(2))))
+        self.check(solver, [x, y], 4 * 6)
+        assert solver.lra.conflicts  # lemmas were added between models
 
 
 class TestCallCounterAtomicity:

@@ -11,7 +11,7 @@ hash families and for CDM.
 
 import pytest
 
-from repro import cdm_count, count_projected
+from repro import cdm_count, count_projected, exact_count
 from repro.engine import ExecutionPool, make_spec, run_iteration
 from repro.sat.kernel import TELEMETRY
 from repro.smt import bv_ult, bv_val, bv_var
@@ -87,7 +87,8 @@ def _solves(prefix):
 def test_every_solver_call_reaches_telemetry(backend):
     """Fanned-out iterations fold their worker solver's counters into
     the kernel telemetry, so ``pact count --jobs N --stats`` reports
-    every solve on every backend — one per oracle call, as serially."""
+    every solve on every backend — one per oracle call, as serially.
+    The enumeration counter (no pool) reports its solves too."""
     pool = ExecutionPool(2, backend)
     assertions, projection = _formula(f"tel_pact_{backend}")
     before = _solves("pact")
@@ -102,3 +103,9 @@ def test_every_solver_call_reaches_telemetry(backend):
                     iteration_override=2, pool=pool)
     assert cdm.iterations == 2 and not cdm.exact
     assert _solves("cdm") - before == cdm.solver_calls
+
+    x = bv_var(f"tel_enum_{backend}", 5)
+    before = _solves("enum")
+    enum = exact_count([bv_ult(x, bv_val(20, 5))], [x])
+    assert enum.exact and enum.estimate == 20
+    assert _solves("enum") - before == enum.solver_calls
