@@ -15,6 +15,11 @@ kernel (``repro.sat.kernel``) on the same smoke formula:
 * the ``enum`` row drives the CDCL driver's projected-model
   enumeration alone (no hash frames, one block per model), and its
   count must stay exact;
+* the ``xor:bvfp`` row runs pact's xor family on a generated QF_BVFP
+  instance, whose compiled formula keeps variables outside the
+  projection: its kernel columns show how much search the compile
+  simplifier leaves over those variables (the smoke formula above has
+  none);
 * the ``exact:cc`` row drives the component-splitting DPLL driver —
   its ``solver_calls`` are DPLL decisions, a pure function of the
   clause DB plus the shared presolve lemmas, and its count must stay
@@ -38,6 +43,7 @@ import json
 import pathlib
 import sys
 
+from repro.benchgen.generators import GENERATORS
 from repro.core import PactConfig, cdm_count, exact_count, pact_count
 from repro.count_exact import cc_count
 from repro.engine.pool import ExecutionPool
@@ -54,6 +60,8 @@ FAMILIES = ("xor", "prime", "shift")
 # count, so the cdm row gets a narrower smoke width to stay fast.
 CDM_WIDTH = 6
 CDM_ITERATIONS = 2
+# A generated instance with existential (non-projection) variables.
+BVFP_WIDTH = 8
 
 
 KERNEL_COLUMNS = ("propagations", "conflicts", "decisions")
@@ -79,6 +87,15 @@ def measure() -> dict:
                             config)
         assert result.solved, f"{family}: smoke instance did not solve"
         results[family] = {"solver_calls": result.solver_calls,
+                           "estimate": result.estimate,
+                           **_kernel_delta(before, "pact.")}
+    instance = GENERATORS["QF_BVFP"](SEED, width=BVFP_WIDTH)
+    config = PactConfig(family="xor", seed=SEED,
+                        iteration_override=ITERATIONS, timeout=300)
+    before = TELEMETRY.snapshot()
+    result = pact_count(instance.assertions, instance.projection, config)
+    assert result.solved, "xor:bvfp: instance did not solve"
+    results["xor:bvfp"] = {"solver_calls": result.solver_calls,
                            "estimate": result.estimate,
                            **_kernel_delta(before, "pact.")}
     cdm_bound = (1 << CDM_WIDTH) - (1 << (CDM_WIDTH - 3))
@@ -138,7 +155,8 @@ def main() -> int:
         return 0
     baseline = json.loads(BASELINE_PATH.read_text())
     failed = False
-    keys = list(FAMILIES) + ["cdm", "enum", "exact:cc", "exact:cc:par"]
+    keys = list(FAMILIES) + ["xor:bvfp", "cdm", "enum", "exact:cc",
+                             "exact:cc:par"]
     for family in keys:
         got = measured[family]
         want = baseline[family]

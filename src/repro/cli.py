@@ -186,7 +186,7 @@ def _cmd_compile(args) -> int:
     if artifact.simplified:
         print(f"c simplify: {stats.units_fixed} units fixed, "
               f"{stats.literals_substituted} literals substituted, "
-              f"{stats.aux_eliminated} auxiliaries eliminated "
+              f"{stats.aux_eliminated} variables eliminated "
               f"(-{stats.clauses_removed}/+{stats.clauses_added} clauses)")
         print(f"c support: {len(artifact.support)}/{stats.support_total} "
               f"projection bits "

@@ -45,7 +45,8 @@ class CompileStats:
     # pre-simplification sizes (equal to the above with --no-simplify)
     raw_clauses: int = 0
     raw_units: int = 0
-    # per-stage effect counters
+    # per-stage effect counters, summed over every round of the bve/bce
+    # fixpoint; dropped duplicate clauses count under clauses_removed
     units_fixed: int = 0
     literals_substituted: int = 0
     failed_literals: int = 0

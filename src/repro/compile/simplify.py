@@ -35,6 +35,8 @@ simplification on vs off follow from count preservation per stage):
   of the reduced formula into one of the original without touching the
   projection bits, so extendability per projection assignment — the
   projected count — is preserved (full argument in DESIGN.md §5).
+  BVE and BCE alternate, with duplicate clauses dropped before each
+  round, until a round changes nothing.
 * **projection-support minimisation** — pure analysis: projection bits
   the simplifier proved fixed (units) or aliased to another projection
   bit are dropped from the *reported* support set (``c p show`` lines
@@ -48,6 +50,8 @@ XOR row.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from repro.sat.solver import SatSnapshot
 
@@ -485,13 +489,15 @@ def probe_failed_literals(state: CnfState, stats=None) -> None:
 # ----------------------------------------------------------------------
 # stage 4: bounded variable elimination (NiVER)
 # ----------------------------------------------------------------------
-def eliminate_auxiliaries(state: CnfState, stats=None) -> None:
-    """Resolution-eliminate cheap Tseitin auxiliaries.
+def eliminate_auxiliaries(state: CnfState, stats=None,
+                          candidates=None) -> None:
+    """Resolution-eliminate unprotected variables.
 
     A pivot must be unprotected, unassigned and absent from every XOR
     row; elimination happens only when the non-tautological resolvent
     set is no larger than the clauses it replaces (NiVER's criterion),
-    so the clause database never grows.
+    so the clause database never grows.  Pivots are tried once each in
+    ascending order: every variable, or only ``candidates`` when given.
     """
     if not state.ok:
         return
@@ -509,7 +515,9 @@ def eliminate_auxiliaries(state: CnfState, stats=None) -> None:
     removed = 0
     added = 0
 
-    for var in range(1, state.num_vars + 1):
+    pivots = (range(1, state.num_vars + 1) if candidates is None
+              else sorted(candidates))
+    for var in pivots:
         if (var in state.frozen or var in xor_vars
                 or var in state.assign):
             continue
@@ -579,7 +587,8 @@ def eliminate_auxiliaries(state: CnfState, stats=None) -> None:
 # ----------------------------------------------------------------------
 # stage 5: blocked-clause elimination
 # ----------------------------------------------------------------------
-def eliminate_blocked_clauses(state: CnfState, stats=None) -> None:
+def eliminate_blocked_clauses(state: CnfState, stats=None,
+                              candidates=None) -> None:
     """Remove clauses blocked on an unprotected, XOR-free literal.
 
     A clause C is *blocked* on its literal l when every resolvent of C
@@ -595,6 +604,11 @@ def eliminate_blocked_clauses(state: CnfState, stats=None) -> None:
     directions (F ⊆ F \\ {C} gives the converse), which is exactly
     projected-count preservation.  Removal order does not matter: BCE
     is confluent, so the fixpoint is well-defined.
+
+    Only literals of ``candidates`` (default: every variable) are
+    checked.  Whether C is blocked on l depends only on the clauses
+    holding -l, so a removal re-queues the variables of the removed
+    clause and nothing else.
     """
     if not state.ok:
         return
@@ -609,16 +623,21 @@ def eliminate_blocked_clauses(state: CnfState, stats=None) -> None:
             occ.setdefault(lit, set()).add(cid)
 
     removed = 0
-    changed = True
-    while changed:
-        changed = False
-        for cid in sorted(clauses):
-            clause = clauses[cid]
+    pending = set(range(1, state.num_vars + 1) if candidates is None
+                  else candidates)
+    while pending:
+        check, pending = pending, set()
+        ids = {cid for var in check for lit in (var, -var)
+               for cid in occ.get(lit, ())}
+        for cid in sorted(ids):
+            clause = clauses.get(cid)
+            if clause is None:
+                continue
             others = set(clause)
             for lit in clause:
                 var = abs(lit)
-                if (var in state.frozen or var in xor_vars
-                        or var in state.assign):
+                if (var not in check or var in state.frozen
+                        or var in xor_vars or var in state.assign):
                     continue
                 partners = occ.get(-lit, ())
                 if len(partners) > _BCE_MAX_OCCURRENCES:
@@ -636,12 +655,58 @@ def eliminate_blocked_clauses(state: CnfState, stats=None) -> None:
                         occ[m].discard(cid)
                     del clauses[cid]
                     removed += 1
-                    changed = True
+                    pending.update(abs(m) for m in clause)
                     break
 
     state.clauses = [clauses[cid] for cid in sorted(clauses)]
     if stats is not None:
         stats.blocked_clauses += removed
+
+
+def _drop_duplicate_clauses(state: CnfState, stats=None) -> None:
+    """Keep the first clause of each literal set (same models)."""
+    seen: set[frozenset[int]] = set()
+    kept: list[list[int]] = []
+    for clause in state.clauses:
+        key = frozenset(clause)
+        if key not in seen:
+            seen.add(key)
+            kept.append(clause)
+    if stats is not None:
+        stats.clauses_removed += len(state.clauses) - len(kept)
+    state.clauses = kept
+
+
+def _eliminate_to_fixpoint(state: CnfState, bve: bool, bce: bool,
+                           stats=None) -> None:
+    """Rounds of duplicate removal, BVE and BCE until one changes nothing.
+
+    One BVE pass in variable order misses a variable that becomes
+    eliminable later in the pass, after BCE, or once a duplicate clause
+    is gone.  So the stages repeat (SatELite's touched-variable loop,
+    Eén & Biere 2005).  The first round tries every variable; each later
+    round tries only the variables whose occurrence lists the previous
+    round changed, in ascending order, so the result is a pure function
+    of the input.  Those are the variables of the clauses it removed or
+    shrank: a resolvent only holds variables of the clauses it replaces.
+    Every stage preserves the projected count.  A productive round takes
+    at least one variable out of the clauses (a BVE pivot, a propagated
+    unit) or drops a clause (a duplicate, a blocked clause), and no
+    stage brings a variable back or adds clauses on balance, so the
+    loop ends.
+    """
+    candidates = None
+    while state.ok:
+        before = Counter(map(tuple, state.clauses))
+        _drop_duplicate_clauses(state, stats)
+        if bve:
+            eliminate_auxiliaries(state, stats, candidates)
+        if bce:
+            eliminate_blocked_clauses(state, stats, candidates)
+        gone = before - Counter(map(tuple, state.clauses))
+        candidates = {abs(lit) for clause in gone for lit in clause}
+        if not candidates:
+            return
 
 
 # ----------------------------------------------------------------------
@@ -694,24 +759,21 @@ def run_stages(snap: SatSnapshot, frozen: set[int],
                stats=None) -> tuple[SatSnapshot, tuple[int, ...]]:
     """Run the selected simplification stages in canonical order.
 
-    Returns the simplified snapshot and the minimised support (the full
+    ``bve`` and ``bce`` run together, alternated to a fixpoint.  Returns
+    the simplified snapshot and the minimised support (the full
     position range when the support stage is not selected).
     """
     state = CnfState(snap, frozen)
     support = tuple(range(len(flat_bits)))
-    for stage in STAGES:
-        if stage not in stages:
-            continue
-        if stage == "units":
-            propagate_units(state, stats)
-        elif stage == "equiv":
-            substitute_equivalents(state, stats)
-        elif stage == "probe":
-            probe_failed_literals(state, stats)
-        elif stage == "bve":
-            eliminate_auxiliaries(state, stats)
-        elif stage == "bce":
-            eliminate_blocked_clauses(state, stats)
-        elif stage == "support":
-            support = minimise_support(state, flat_bits, stats)
+    if "units" in stages:
+        propagate_units(state, stats)
+    if "equiv" in stages:
+        substitute_equivalents(state, stats)
+    if "probe" in stages:
+        probe_failed_literals(state, stats)
+    if "bve" in stages or "bce" in stages:
+        _eliminate_to_fixpoint(state, "bve" in stages, "bce" in stages,
+                               stats)
+    if "support" in stages:
+        support = minimise_support(state, flat_bits, stats)
     return state.to_snapshot(), support

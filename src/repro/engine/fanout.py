@@ -32,6 +32,7 @@ to serial ones.
 from __future__ import annotations
 
 import math
+import threading
 import time
 from dataclasses import dataclass
 
@@ -78,7 +79,13 @@ class IterationSpec:
 
 
 # Per-process parse memo: script digest -> (assertions, projection).
+# Every fanned-out count, session spec and scheduler slot adds an entry,
+# so a long-lived process evicts oldest-first at the cap (dicts are
+# insertion-ordered), under a lock because pool threads write it too.
+# Re-parsing an evicted script gives the same interned terms.
+_PARSE_CAP = 64
 _parse_memo: dict[str, tuple[list, list]] = {}
+_parse_lock = threading.Lock()
 
 # Per-worker warm-start chains: (digest, algorithm, family, seed,
 # epsilon, delta) -> boundary of the last iteration finished here.  A
@@ -101,27 +108,35 @@ def _remember_warm(key: tuple, boundary: int) -> None:
     _warm_starts[key] = boundary
 
 
-def _parsed(script: str) -> tuple[list, list]:
-    key = _digest(script)
-    cached = _parse_memo.get(key)
-    if cached is None:
-        from repro.smt.parser import parse_script
-        parsed = parse_script(script)
-        cached = (list(parsed.assertions), list(parsed.projection))
-        _parse_memo[key] = cached
-    return cached
+def _remember_parse(key: str, parsed: tuple[list, list]) -> tuple:
+    """Store ``parsed`` unless ``key`` is already held; the held entry."""
+    with _parse_lock:
+        held = _parse_memo.get(key)
+        if held is not None:
+            return held
+        while len(_parse_memo) >= _PARSE_CAP:
+            _parse_memo.pop(next(iter(_parse_memo)))
+        _parse_memo[key] = parsed
+        return parsed
 
 
 def parse_cached(script: str) -> tuple[list, list]:
     """(assertions, projection) of ``script``, memoised per process."""
-    return _parsed(script)
+    key = _digest(script)
+    with _parse_lock:
+        cached = _parse_memo.get(key)
+    if cached is None:
+        from repro.smt.parser import parse_script
+        parsed = parse_script(script)
+        cached = _remember_parse(
+            key, (list(parsed.assertions), list(parsed.projection)))
+    return cached
 
 
 def preseed_parse_memo(script: str, assertions, projection) -> None:
     """Seed the per-process memo with already-built terms so in-process
     (and forked) workers never re-parse ``script``."""
-    _parse_memo.setdefault(_digest(script),
-                           (list(assertions), list(projection)))
+    _remember_parse(_digest(script), (list(assertions), list(projection)))
 
 
 def make_spec(algorithm: str, assertions, projection, *, epsilon: float,
@@ -215,7 +230,7 @@ def _iteration_task(spec: IterationSpec, iteration_index: int,
     from repro.core.cells import CallCounter
     from repro.utils.deadline import Deadline
 
-    assertions, projection = _parsed(spec.script)
+    assertions, projection = parse_cached(spec.script)
     deadline = Deadline(budget)
     calls = CallCounter()
     if spec.algorithm == "pact":

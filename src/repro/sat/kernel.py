@@ -1477,7 +1477,11 @@ class CdclDriver(PropagationKernel):
         constrained variables are decided nor the model.  The
         constrained test also discards heap entries left by a
         frame-local variable whose number a later, still unconstrained,
-        variable reuses.
+        variable reuses.  Empty heaps mean SAT: every unassigned
+        constrained variable has an entry in ``_proj_heap`` if it is
+        projected, else in ``_order_heap`` (``_constrain``,
+        ``_unassign``, ``set_projection`` and ``_bump_var``'s rescale
+        keep it so).
         """
         assigns = self._assigns
         proj_heap = self._proj_heap
@@ -1492,13 +1496,6 @@ class CdclDriver(PropagationKernel):
             _, var = heapq.heappop(heap)
             if (var <= nv and constrained[var]
                     and assigns[var] == UNASSIGNED):
-                return var if self._phase[var] else -var
-        # Heaps exhausted: linear fallback, projection first.
-        for var in self._projection:
-            if assigns[var] == UNASSIGNED:
-                return var if self._phase[var] else -var
-        for var in range(1, nv + 1):
-            if constrained[var] and assigns[var] == UNASSIGNED:
                 return var if self._phase[var] else -var
         return None
 

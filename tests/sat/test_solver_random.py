@@ -239,3 +239,93 @@ def test_reused_frame_variable_number_starts_unconstrained():
     assert solver.value(reused) == UNASSIGNED
     assert solver.model_value(reused) is False
     assert solver.model()[reused] is False
+
+
+def _assert_heap_entries(solver):
+    """Every unassigned constrained variable has a heap entry: in the
+    projection heap if it is projected, else in the order heap."""
+    projected = {var for _, var in solver._proj_heap}
+    ordered = {var for _, var in solver._order_heap}
+    for var in range(1, solver.num_vars() + 1):
+        if solver._constrained[var] and solver.value(var) == UNASSIGNED:
+            heap = projected if solver._projected[var] else ordered
+            assert var in heap, f"variable {var} has no heap entry"
+
+
+def _random_history(rng, steps=60):
+    """Run a random push/add/set_projection/solve/block_projection/pop
+    history, checking the heap invariant after each step; returns the
+    number of activity rescales seen (the only step that lowers
+    ``_var_inc``).  Every clause and row holds under one hidden
+    assignment, so only blocking clauses make a frame unsatisfiable
+    and the searches meet conflicts."""
+    solver = SatSolver()
+    hidden = [None]
+
+    def new_var():
+        hidden.append(rng.random() < 0.5)
+        return solver.new_var()
+
+    def planted_clause(num_vars):
+        while True:
+            clause = [v if rng.random() < 0.5 else -v
+                      for v in rng.sample(range(1, num_vars + 1), 3)]
+            if any(hidden[abs(lit)] == (lit > 0) for lit in clause):
+                return clause
+
+    for _ in range(rng.randint(10, 14)):
+        new_var()
+    for _ in range(4 * solver.num_vars()):
+        solver.add_clause(planted_clause(solver.num_vars()))
+    rescales = 0
+    for _ in range(steps):
+        depth = solver.frame_depth
+        num_vars = solver.num_vars()
+        root_vars = solver._frames[0].num_vars if depth else num_vars
+        var_inc = solver._var_inc
+        action = rng.choice(("clause", "clause", "clause", "xor", "var",
+                             "push", "pop", "projection", "solve",
+                             "solve"))
+        if action == "clause":
+            solver.add_clause(planted_clause(num_vars))
+        elif action == "xor":
+            variables = rng.sample(range(1, num_vars + 1), 3)
+            solver.add_xor(variables,
+                           sum(hidden[v] for v in variables) % 2 == 1)
+        elif action == "var":
+            new_var()
+            solver.add_clause(planted_clause(num_vars + 1))
+        elif action == "push" and depth < 3:
+            solver.push()
+        elif action == "pop" and depth:
+            solver.pop()
+            del hidden[solver.num_vars() + 1:]
+        elif action == "projection":
+            solver.set_projection(rng.sample(
+                range(1, root_vars + 1), rng.randint(0, root_vars)))
+        elif action == "solve":
+            if solver.solve() and solver._projection:
+                _assert_heap_entries(solver)
+                if rng.random() < 0.8:
+                    solver.block_projection()
+        _assert_heap_entries(solver)
+        if solver._var_inc < var_inc:
+            rescales += 1
+    return rescales
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_unassigned_constrained_variables_keep_a_heap_entry(seed):
+    """The invariant that lets ``_decide`` answer SAT once both heaps
+    are empty, over random histories."""
+    _random_history(random.Random(7300 + seed))
+
+
+def test_heap_entries_survive_an_activity_rescale(monkeypatch):
+    """The same invariant across ``_bump_var``'s rescale, which rebuilds
+    both heaps (forced here by a low rescale threshold)."""
+    from repro.sat import kernel
+    monkeypatch.setattr(kernel, "_ACTIVITY_RESCALE", 4.0)
+    rng = random.Random(7299)
+    rescales = sum(_random_history(rng, steps=120) for _ in range(5))
+    assert rescales > 0
