@@ -1,21 +1,18 @@
 """The compile-once pipeline, measured.
 
-A/B on the benchgen suite, two axes:
-
 * **compile-once vs re-blast** — the workload every matrix, batch and
   portfolio run repeats: counting the same problem several times in one
   process.  The cold leg clears the per-process compile memo before
-  every count (every run pays preprocessing + Tseitin blasting, the
-  seed behaviour); the warm leg compiles once and clones the snapshot
+  every count (every run pays preprocessing, Tseitin blasting and
+  simplification); the warm leg compiles once and clones the snapshot
   per run.
-* **simplify on vs off** — both legs run compiled; the treatment leg
-  additionally runs the count-preserving simplification stages.
+* **clause DB sizes** — the raw bit-blasted CNF (``stages=()``) against
+  the simplified artifact.
 
-Contract: estimates are bit-identical across all legs (counts are exact
-over projection variables and every stage preserves the projected
-count).  The artifact (``bench_results/compile.txt``) records sizes,
-times and the warm leg's wall-clock win, which is reported but not
-gated: wall-clock is measured end to end by ``perfbench/``.
+Contract: estimates are bit-identical across both legs.  The artifact
+(``bench_results/compile.txt``) records sizes, times and the warm leg's
+wall-clock win, which is reported but not gated: wall-clock is measured
+end to end by ``perfbench/``.
 """
 
 import time
@@ -59,24 +56,22 @@ def _cases():
     return cases
 
 
-def _run(assertions, projection, iterations, simplify):
+def _run(assertions, projection, iterations):
     config = PactConfig(family="xor", seed=SEED,
-                        iteration_override=iterations, timeout=TIMEOUT,
-                        simplify=simplify)
+                        iteration_override=iterations, timeout=TIMEOUT)
     return pact_count(list(assertions), list(projection), config)
 
 
-def _leg(assertions, projection, iterations, repeats, simplify, cold):
+def _leg(assertions, projection, iterations, repeats, cold):
     """``repeats`` counts; ``cold`` clears the compile memo per count
-    (the seed behaviour: preprocessing + blasting on every count)."""
+    (the whole compile pipeline runs on every count)."""
     reset_compile_memo()
     results = []
     start = time.monotonic()
     for _ in range(repeats):
         if cold:
             reset_compile_memo()
-        results.append(_run(assertions, projection, iterations,
-                            simplify))
+        results.append(_run(assertions, projection, iterations))
     wall = time.monotonic() - start
     return results, wall
 
@@ -86,23 +81,21 @@ def test_compile_once_vs_reblast(benchmark, case):
     name, tag, iterations, repeats, assertions, projection = case
 
     def all_legs():
-        cold = _leg(assertions, projection, iterations, repeats, False,
+        cold = _leg(assertions, projection, iterations, repeats,
                     cold=True)
-        warm = _leg(assertions, projection, iterations, repeats, True,
+        warm = _leg(assertions, projection, iterations, repeats,
                     cold=False)
-        raw = _leg(assertions, projection, iterations, repeats, False,
-                   cold=False)
-        return cold, warm, raw
+        return cold, warm
 
-    (cold, cold_wall), (warm, warm_wall), (raw, raw_wall) = (
+    (cold, cold_wall), (warm, warm_wall) = (
         benchmark.pedantic(all_legs, rounds=1, iterations=1))
 
-    # one compile per (problem, simplify mode) in the warm leg
+    # one compile per problem in the warm leg
     builds = compile_counters()["builds"]
     assert builds == 1, f"warm leg compiled {builds} times"
 
-    # the determinism contract: every leg, bit-identical estimates
-    for leg in (cold, warm, raw):
+    # the determinism contract: both legs, bit-identical estimates
+    for leg in (cold, warm):
         assert all(result.solved for result in leg)
         assert [r.estimates for r in leg] == [cold[0].estimates] * repeats
 
@@ -113,8 +106,7 @@ def test_compile_once_vs_reblast(benchmark, case):
         if tag == "exact":
             _exact_speedups.append(speedup)
     _rows.append([
-        name,
-        f"{cold_wall:.3f}", f"{raw_wall:.3f}", f"{warm_wall:.3f}",
+        name, f"{cold_wall:.3f}", f"{warm_wall:.3f}",
         f"{speedup:.2f}x" + ("" if measured else " (noise)"),
     ])
 
@@ -123,9 +115,9 @@ def test_simplification_shrinks_clause_db():
     from repro.compile import compile_problem
     for instance in build_suite(per_logic=1, base_seed=3, widths=(12,)):
         on = compile_problem(instance.assertions, instance.projection,
-                             simplify=True, digest="bench")
+                             digest="bench")
         off = compile_problem(instance.assertions, instance.projection,
-                              simplify=False, digest="bench")
+                              stages=(), digest="bench")
         total_on = on.stats.clauses + len(on.snapshot.units)
         total_off = off.stats.clauses + len(off.snapshot.units)
         _clause_rows.append([
@@ -139,8 +131,7 @@ def test_simplification_shrinks_clause_db():
 def test_compile_report(results_dir):
     assert _rows and _clause_rows, "per-instance benches must run first"
     table = format_table(
-        ["workload:instance", "re-blast s", "compiled s", "+simplify s",
-         "speedup"],
+        ["workload:instance", "re-blast s", "compiled s", "speedup"],
         _rows,
         title=(f"Compile-once vs re-blast per count (repeated counts "
                f"per problem, seed={SEED}); estimates bit-identical "

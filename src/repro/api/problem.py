@@ -57,39 +57,6 @@ def fingerprint_terms(assertions, projection,
     return fingerprint_digest(pieces)
 
 
-def key_incremental_mode(params: dict, incremental: bool) -> dict:
-    """Fold the incremental-solving mode into fingerprint ``params``.
-
-    Estimates are mode-independent, but the solver_calls and timing a
-    result cache stores are not, so baseline-mode results must key
-    differently.  The key is added only when the mode is off: default
-    fingerprints stay byte-identical to every cache written before the
-    knob existed.  Both fingerprint sites (``CountRequest.cache_params``
-    and the matrix scheduler's ``slot_fingerprint``) share this rule.
-    """
-    if not incremental:
-        params["incremental"] = False
-    return params
-
-
-def key_solver_modes(params: dict, *, incremental: bool = True,
-                     simplify: bool = True,
-                     component_store: str | None = None) -> dict:
-    """Fold every estimate-neutral solver mode into fingerprint
-    ``params`` — the incremental layer, the compile pipeline's
-    simplification and the exact counter's shared component store
-    share :func:`key_incremental_mode`'s rule: a key is added only when
-    the mode is off its default, so default fingerprints stay
-    byte-identical to caches written before each knob existed.
-    """
-    key_incremental_mode(params, incremental)
-    if not simplify:
-        params["simplify"] = False
-    if component_store:
-        params["component_store"] = str(component_store)
-    return params
-
-
 @dataclass(frozen=True)
 class Problem:
     """An immutable projected-counting problem."""
@@ -183,20 +150,19 @@ class Problem:
     # ------------------------------------------------------------------
     # compilation
     # ------------------------------------------------------------------
-    def compile(self, simplify: bool = True):
+    def compile(self):
         """The problem's :class:`repro.compile.CompiledProblem`.
 
-        Compiled at most once per (problem, simplify) per process: the
-        per-process compile memo is keyed by the canonical script digest
-        — the *logic-free* serialisation the counters themselves hash
+        Compiled at most once per problem per process: the per-process
+        compile memo is keyed by the canonical script digest — the
+        *logic-free* serialisation the counters themselves hash
         (:func:`repro.core.pact.compile_counting_problem`) — so
         sessions, fan-out workers, the counters and the CLI all share
-        one artifact.  ``simplify=False`` skips the count-preserving
-        CNF simplification (the A/B baseline).
+        one artifact.
         """
         from repro.compile import compiled_for
         return compiled_for(list(self.assertions), list(self.projection),
-                            digest=self.compile_key, simplify=simplify)
+                            digest=self.compile_key)
 
     # ------------------------------------------------------------------
     def projection_bits(self) -> int:

@@ -86,9 +86,7 @@ class PactCounter:
             epsilon=request.epsilon, delta=request.delta,
             family=self.family, seed=request.seed,
             timeout=request.timeout,
-            iteration_override=request.iteration_override,
-            incremental=request.incremental,
-            simplify=request.simplify)
+            iteration_override=request.iteration_override)
         result = pact_count(list(problem.assertions),
                             list(problem.projection), config,
                             deadline=deadline, pool=pool,
@@ -110,8 +108,7 @@ class CdmCounter:
             epsilon=request.epsilon, delta=request.delta,
             seed=request.seed, timeout=request.timeout,
             iteration_override=request.iteration_override, pool=pool,
-            deadline=deadline, incremental=request.incremental,
-            simplify=request.simplify, digest=problem.compile_key)
+            deadline=deadline, digest=problem.compile_key)
         return CountResponse.from_result(result, counter=self.name,
                                          problem=problem.name)
 
@@ -137,9 +134,8 @@ class CcCounter:
     """Exact component-caching search as a registry counter.
 
     Counts on the same compiled artifact the pact counters solve on
-    (one compile per (problem, simplify) per process, shared through
-    the memo and the session's artifact store); ``request.simplify``
-    selects the compile A/B mode.  A parallel ``pool`` fans top-level
+    (one compile per problem per process, shared through the memo and
+    the session's artifact store).  A parallel ``pool`` fans top-level
     components (and cube splits of wide ones) out across workers, and
     ``request.component_store`` attaches the shared on-disk component
     cache — counts are bit-identical to the serial, storeless run
@@ -154,7 +150,6 @@ class CcCounter:
         result = cc_count(list(problem.assertions),
                           list(problem.projection),
                           timeout=request.timeout, deadline=deadline,
-                          simplify=request.simplify,
                           digest=problem.compile_key, pool=pool,
                           component_store=request.component_store)
         return CountResponse.from_result(result, counter=self.name,

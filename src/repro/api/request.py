@@ -54,16 +54,10 @@ class CountRequest:
     reproducible; ``timeout`` is the wall-clock budget in seconds;
     ``iteration_override`` replaces Algorithm 3's numIt for scaled-down
     runs; ``limit`` caps the ``enum`` counter's enumeration;
-    ``incremental`` toggles pact's incremental solving layer (hash
-    ladder warm starts + learnt-clause retention — never changes
-    estimates, ``False`` is the A/B baseline mode); ``simplify``
-    toggles the compile pipeline's count-preserving CNF simplification
-    (:mod:`repro.compile` — never changes estimates either, ``False``
-    is its A/B baseline); ``component_store`` points ``exact:cc`` at a
-    shared on-disk component cache (:mod:`repro.count_exact.store` —
-    counts are exact either way, but a warmed store changes how much
-    search a budget buys, so it keys the fingerprint like the other
-    modes).
+    ``component_store`` points ``exact:cc`` at a shared on-disk
+    component cache (:mod:`repro.count_exact.store` — counts are exact
+    either way, but a warmed store changes how much search a budget
+    buys, so it keys the fingerprint).
     """
 
     counter: str = "pact:xor"
@@ -73,8 +67,6 @@ class CountRequest:
     timeout: float | None = None
     iteration_override: int | None = None
     limit: int | None = None
-    incremental: bool = True
-    simplify: bool = True
     component_store: str | None = None
 
     def __post_init__(self):
@@ -91,16 +83,17 @@ class CountRequest:
     def cache_params(self, counter: str | None = None) -> dict:
         """Everything that changes the answer or the budget, as the
         fingerprint parameter mapping (``counter`` overrides the request's
-        own name with its canonical registry spelling)."""
-        from repro.api.problem import key_solver_modes
-        return key_solver_modes(
-            {"counter": counter or self.counter,
-             "epsilon": self.epsilon, "delta": self.delta,
-             "seed": self.seed, "timeout": self.timeout,
-             "iterations": self.iteration_override,
-             "limit": self.limit},
-            incremental=self.incremental, simplify=self.simplify,
-            component_store=self.component_store)
+        own name with its canonical registry spelling).  The store key
+        is added only when a store is set, so storeless fingerprints
+        stay byte-identical to caches written before it existed."""
+        params = {"counter": counter or self.counter,
+                  "epsilon": self.epsilon, "delta": self.delta,
+                  "seed": self.seed, "timeout": self.timeout,
+                  "iterations": self.iteration_override,
+                  "limit": self.limit}
+        if self.component_store:
+            params["component_store"] = str(self.component_store)
+        return params
 
 
 @dataclass(frozen=True)

@@ -58,8 +58,6 @@ class _CountSpec:
     timeout: float | None
     iteration_override: int | None
     limit: int | None
-    incremental: bool = True
-    simplify: bool = True
     component_store: str | None = None
 
 
@@ -81,7 +79,6 @@ def _run_spec(spec: _CountSpec, cancel=None,
         seed=spec.seed,
         timeout=spec.timeout if budget is None else budget,
         iteration_override=spec.iteration_override, limit=spec.limit,
-        incremental=spec.incremental, simplify=spec.simplify,
         component_store=spec.component_store)
     deadline = (CooperativeDeadline(request.timeout, cancel)
                 if cancel is not None else None)
@@ -198,8 +195,7 @@ class Session:
         if cached is not None:
             self._emit(progress, "cache-hit", cached)
             return cached
-        digest = self._preload_artifact(problem, request,
-                                        counter.name)
+        digest = self._preload_artifact(problem, counter.name)
         start = time.monotonic()
         try:
             response = counter.count(
@@ -213,7 +209,7 @@ class Session:
         # No flush here: close()/__exit__ (and each count_batch) persist
         # the cache once, so a counting loop is not quadratic in I/O.
         self._store(fingerprint, response)
-        self._persist_artifact(digest, request)
+        self._persist_artifact(digest)
         self._emit(progress, "completed", response)
         return response
 
@@ -243,8 +239,7 @@ class Session:
                 continue
             if fingerprint is not None:
                 fingerprints[index] = fingerprint
-            digests[index] = self._preload_artifact(problem, request,
-                                                    counter.name)
+            digests[index] = self._preload_artifact(problem, counter.name)
             spec = self._spec(problem, request, counter.name)
             tasks.append(Task(key=index, fn=_run_spec, args=(spec, None),
                               budget=request.timeout))
@@ -259,7 +254,7 @@ class Session:
             # Persist the artifact when this process compiled it
             # (serial/thread/forked workers share the memo; spawned
             # workers keep theirs process-local).
-            self._persist_artifact(digests.get(index), request)
+            self._persist_artifact(digests.get(index))
             self._emit(progress, "completed", response)
 
         self.pool.run(tasks, progress=on_complete)
@@ -384,11 +379,9 @@ class Session:
             delta=request.delta, seed=request.seed,
             timeout=request.timeout,
             iteration_override=request.iteration_override,
-            limit=request.limit, incremental=request.incremental,
-            simplify=request.simplify,
-            component_store=request.component_store)
+            limit=request.limit, component_store=request.component_store)
 
-    def _preload_artifact(self, problem: Problem, request: CountRequest,
+    def _preload_artifact(self, problem: Problem,
                           counter: str) -> str | None:
         """Seed the compile memo from the cache's artifact store.
 
@@ -409,10 +402,9 @@ class Session:
             CompiledProblem, peek_compiled, preseed_compile_memo,
         )
         digest = problem.compile_key
-        if peek_compiled(digest, simplify=request.simplify) is not None:
+        if peek_compiled(digest) is not None:
             return digest
-        payload = self.cache.get_artifact(digest,
-                                          simplified=request.simplify)
+        payload = self.cache.get_artifact(digest)
         if payload is not None:
             try:
                 preseed_compile_memo(CompiledProblem.from_payload(payload))
@@ -420,20 +412,17 @@ class Session:
                 pass  # corrupt artifact: compile as usual
         return digest
 
-    def _persist_artifact(self, digest: str | None,
-                          request: CountRequest) -> None:
+    def _persist_artifact(self, digest: str | None) -> None:
         """Persist the artifact this count compiled, if any and if it
         round-trips (lazy-LRA artifacts stay process-local)."""
         if digest is None or self.cache is None:
             return
         from repro.compile import peek_compiled
-        artifact = peek_compiled(digest, simplify=request.simplify)
+        artifact = peek_compiled(digest)
         if artifact is None or not artifact.persistable:
             return
-        if not self.cache.has_artifact(digest,
-                                       simplified=request.simplify):
-            self.cache.put_artifact(digest, artifact.to_payload(),
-                                    simplified=request.simplify)
+        if not self.cache.has_artifact(digest):
+            self.cache.put_artifact(digest, artifact.to_payload())
 
     def _fingerprint(self, problem, request, counter) -> str | None:
         if self.cache is None:

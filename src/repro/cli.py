@@ -12,8 +12,7 @@ Subcommands::
                          [--timeout T] [--project x,y] [--jobs N]
                          [--backend B]
     pact enum FILE.smt2  [--project x,y] [--timeout T] [--limit N]
-    pact compile FILE.smt2 [--project x,y] [--no-simplify]
-                         [--out FILE.cnf] [--quiet]
+    pact compile FILE.smt2 [--project x,y] [--out FILE.cnf] [--quiet]
     pact generate --logic QF_BVFP --out DIR [--count N] [--width W]
     pact serve    [--host H] [--port P] [--workers N] [--queue-depth N]
                   [--watermark N] [--tenant-limit N] [--jobs N]
@@ -84,7 +83,6 @@ def _request(args, counter: str) -> CountRequest:
     return CountRequest(counter=counter, epsilon=args.epsilon,
                         delta=args.delta, seed=args.seed,
                         timeout=args.timeout,
-                        simplify=not getattr(args, "no_simplify", False),
                         component_store=getattr(args, "component_store",
                                                 None))
 
@@ -177,22 +175,21 @@ def _cmd_enum(args) -> int:
 def _cmd_compile(args) -> int:
     """Compile once, dump stats + DIMACS (with ``c p show`` lines)."""
     problem = _problem(args)
-    artifact = problem.compile(simplify=not args.no_simplify)
+    artifact = problem.compile()
     stats = artifact.stats
     print(f"c compiled {problem.name}: {stats.vars} vars, "
           f"{stats.clauses} clauses, {stats.xors} xor rows "
           f"(raw: {stats.raw_clauses} clauses + {stats.raw_units} units) "
           f"in {stats.seconds:.3f}s")
-    if artifact.simplified:
-        print(f"c simplify: {stats.units_fixed} units fixed, "
-              f"{stats.literals_substituted} literals substituted, "
-              f"{stats.aux_eliminated} variables eliminated "
-              f"(-{stats.clauses_removed}/+{stats.clauses_added} clauses)")
-        print(f"c support: {len(artifact.support)}/{stats.support_total} "
-              f"projection bits "
-              f"(fixed={stats.support_fixed} "
-              f"aliased={stats.support_aliased} "
-              f"free={stats.support_free})")
+    print(f"c simplify: {stats.units_fixed} units fixed, "
+          f"{stats.literals_substituted} literals substituted, "
+          f"{stats.aux_eliminated} variables eliminated "
+          f"(-{stats.clauses_removed}/+{stats.clauses_added} clauses)")
+    print(f"c support: {len(artifact.support)}/{stats.support_total} "
+          f"projection bits "
+          f"(fixed={stats.support_fixed} "
+          f"aliased={stats.support_aliased} "
+          f"free={stats.support_free})")
     if args.out:
         pathlib.Path(args.out).write_text(artifact.to_dimacs())
         print(f"c wrote {args.out}")
@@ -412,10 +409,6 @@ def _add_request_arguments(parser) -> None:
     parser.add_argument("--timeout", type=float, default=None)
     parser.add_argument("--project", default=None,
                         help="comma-separated projection variables")
-    parser.add_argument("--no-simplify", action="store_true",
-                        help="skip the compile pipeline's "
-                             "count-preserving CNF simplification "
-                             "(A/B baseline; estimates are identical)")
 
 
 def _cmd_lint(args) -> int:
@@ -489,8 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     compile_cmd.add_argument("file")
     compile_cmd.add_argument("--project", default=None,
                              help="comma-separated projection variables")
-    compile_cmd.add_argument("--no-simplify", action="store_true",
-                             help="skip count-preserving simplification")
     compile_cmd.add_argument("--out", default=None,
                              help="write DIMACS here instead of stdout")
     compile_cmd.add_argument("--quiet", action="store_true",

@@ -42,7 +42,7 @@ class CompileStats:
     vars: int = 0
     clauses: int = 0
     xors: int = 0
-    # pre-simplification sizes (equal to the above with --no-simplify)
+    # pre-simplification sizes (equal to the above with stages=())
     raw_clauses: int = 0
     raw_units: int = 0
     # per-stage effect counters, summed over every round of the bve/bce
@@ -91,7 +91,7 @@ class CompiledProblem:
     :attr:`flat_bits`) an external counter must still project onto after
     dropping bits the simplifier proved fixed or aliased; internal
     counters keep hashing the full ``flat_bits`` list so random draws
-    stay bit-identical with simplification on or off.
+    do not depend on which simplification stages ran.
     """
 
     digest: str
@@ -101,7 +101,6 @@ class CompiledProblem:
     projection_bits: tuple[tuple[int, ...], ...]
     atoms: tuple[tuple[Term, int], ...] = ()
     support: tuple[int, ...] = ()
-    simplified: bool = True
     stats: CompileStats = field(default_factory=CompileStats)
 
     # ------------------------------------------------------------------
@@ -144,7 +143,6 @@ class CompiledProblem:
         stats = self.stats
         comments = [
             f"pact compile artifact {self.digest[:16]}",
-            f"simplified={self.simplified} "
             f"stages={','.join(stats.stages) or 'none'}",
             f"projection: {len(flat)} bits over "
             f"{len(self.projection)} variables; support "
@@ -189,7 +187,6 @@ class CompiledProblem:
                            for var in self.projection],
             "projection_bits": [list(bits) for bits in self.projection_bits],
             "support": list(self.support),
-            "simplified": self.simplified,
             "stats": self.stats.as_dict(),
         }
 
@@ -223,7 +220,6 @@ class CompiledProblem:
             projection_bits=tuple(tuple(int(lit) for lit in bits)
                                   for bits in payload["projection_bits"]),
             support=tuple(int(i) for i in payload.get("support", ())),
-            simplified=bool(payload.get("simplified", True)),
             stats=stats)
 
     def __repr__(self) -> str:
@@ -231,5 +227,4 @@ class CompiledProblem:
                 f"vars={self.snapshot.num_vars}, "
                 f"clauses={len(self.snapshot.clauses)}, "
                 f"xors={len(self.snapshot.xors)}, "
-                f"|S|={len(self.flat_bits)} bits, "
-                f"simplified={self.simplified})")
+                f"|S|={len(self.flat_bits)} bits)")

@@ -60,8 +60,8 @@ def canonical_digest(assertions, projection) -> str:
                                        projection=list(projection)))
 
 
-def _key(digest: str, kind: str, simplify: bool, extra: tuple) -> tuple:
-    return (digest, kind, bool(simplify)) + tuple(extra)
+def _key(digest: str, kind: str, extra: tuple) -> tuple:
+    return (digest, kind) + tuple(extra)
 
 
 def _evict_to_cap(incoming: tuple) -> None:
@@ -71,8 +71,7 @@ def _evict_to_cap(incoming: tuple) -> None:
 
 
 def compiled_for(assertions, projection, *, digest: str,
-                 kind: str = "pact", simplify: bool = True,
-                 extra: tuple = ()) -> CompiledProblem:
+                 kind: str = "pact", extra: tuple = ()) -> CompiledProblem:
     """The memoised compile front door.
 
     ``digest`` identifies the serialised problem (script digest);
@@ -81,7 +80,7 @@ def compiled_for(assertions, projection, *, digest: str,
     carries ``("cdm", copies)``).  Exactly one pipeline run happens per
     key per process, even under thread fan-out.
     """
-    key = _key(digest, kind, simplify, extra)
+    key = _key(digest, kind, extra)
     with _memo_lock:
         artifact = _memo.get(key)
         if artifact is not None:
@@ -92,8 +91,7 @@ def compiled_for(assertions, projection, *, digest: str,
             artifact = _memo.get(key)
         if artifact is not None:
             return artifact
-        artifact = compile_problem(assertions, projection,
-                                   simplify=simplify, digest=digest)
+        artifact = compile_problem(assertions, projection, digest=digest)
         with _memo_lock:
             _evict_to_cap(key)
             _memo[key] = artifact
@@ -106,20 +104,19 @@ def preseed_compile_memo(artifact: CompiledProblem, *,
                          kind: str = "pact", extra: tuple = ()) -> None:
     """Seed the memo with an artifact built (or loaded) elsewhere, so
     in-process and forked workers skip the pipeline entirely."""
-    key = _key(artifact.digest, kind, artifact.simplified, extra)
+    key = _key(artifact.digest, kind, extra)
     with _memo_lock:
         _evict_to_cap(key)
         _memo.setdefault(key, artifact)
 
 
 def peek_compiled(digest: str, *, kind: str = "pact",
-                  simplify: bool = True,
                   extra: tuple = ()) -> CompiledProblem | None:
     """The memoised artifact if this process already has it, else None
     (never triggers a build — the session's persist-after-count hook
     uses this to avoid compiling just to cache)."""
     with _memo_lock:
-        return _memo.get(_key(digest, kind, simplify, extra))
+        return _memo.get(_key(digest, kind, extra))
 
 
 def compile_counters() -> dict:

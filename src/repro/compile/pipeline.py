@@ -11,8 +11,8 @@
    map is fixed here, *before* simplification, so hash draws are
    independent of what the simplifier does);
 3. **simplify** — projected-count-preserving CNF simplification
-   (:mod:`repro.compile.simplify`), skippable with ``simplify=False``
-   or narrowed with ``stages``.
+   (:mod:`repro.compile.simplify`), narrowed with ``stages``
+   (``stages=()`` skips it: the unsimplified reference).
 
 Counters reconstruct a solver from the artifact with
 :meth:`repro.smt.solver.SmtSolver.from_compiled` — linear in the clause
@@ -34,14 +34,14 @@ from repro.smt.terms import Term
 __all__ = ["compile_problem"]
 
 
-def compile_problem(assertions, projection, *, simplify: bool = True,
-                    stages=STAGES, digest: str = "") -> CompiledProblem:
+def compile_problem(assertions, projection, *, stages=STAGES,
+                    digest: str = "") -> CompiledProblem:
     """Compile (assertions, projection) into a :class:`CompiledProblem`.
 
     ``digest`` names the artifact (callers pass the script digest the
     memo and the cache key on); ``stages`` narrows the simplifier to a
     subset of :data:`repro.compile.simplify.STAGES` (the property tests
-    exercise each prefix).
+    exercise each prefix; ``stages=()`` keeps the raw bit-blasted CNF).
     """
     start = time.monotonic()
     if isinstance(assertions, Term):
@@ -65,7 +65,7 @@ def compile_problem(assertions, projection, *, simplify: bool = True,
     flat_bits = [lit for bits in projection_bits for lit in bits]
     support = tuple(range(len(flat_bits)))
 
-    if simplify:
+    if stages:
         frozen = {abs(lit) for lit in flat_bits}
         frozen.update(abs(literal) for _atom, literal in atoms)
         frozen.add(abs(solver.builder.true_lit))
@@ -84,4 +84,4 @@ def compile_problem(assertions, projection, *, simplify: bool = True,
         true_lit=solver.builder.true_lit,
         projection=tuple(projection),
         projection_bits=tuple(projection_bits), atoms=atoms,
-        support=support, simplified=bool(simplify), stats=stats)
+        support=support, stats=stats)

@@ -31,12 +31,11 @@ from repro.core.cdm import cdm_count
 from repro.core.config import PactConfig
 from repro.core.constants import get_constants
 from repro.core.enumerate import exact_count
-from repro.core.ladder import HashLadder, RebuildLadder
+from repro.core.ladder import HashLadder
 from repro.core.pact import count_projected, pact_count
 from repro.core.result import CountResult
 
 __all__ = [
-    "CountResult", "HashLadder", "PactConfig", "RebuildLadder",
-    "cdm_count", "count_projected", "exact_count", "get_constants",
-    "pact_count",
+    "CountResult", "HashLadder", "PactConfig", "cdm_count",
+    "count_projected", "exact_count", "get_constants", "pact_count",
 ]

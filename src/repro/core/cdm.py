@@ -35,7 +35,7 @@ import math
 import time
 
 from repro.core.cells import SATURATED, CallCounter, saturating_count
-from repro.core.ladder import HashLadder, RebuildLadder
+from repro.core.ladder import HashLadder
 from repro.core.result import CountResult
 from repro.core.search import find_boundary
 from repro.core.slicing import dedupe_projection, total_bits
@@ -102,16 +102,15 @@ def compose_copies(assertions: list[Term], projection: list[Term],
 
 
 def build_cdm_solver(assertions: list[Term], projection: list[Term],
-                     copies: int, *, simplify: bool = True,
-                     script: str | None = None,
+                     copies: int, *, script: str | None = None,
                      digest: str | None = None):
     """A counting solver over the q-fold self-composition, plus its
     flattened per-copy projection list.
 
-    The composed formula is compiled once per (problem, q, simplify)
-    per process (see :mod:`repro.compile`); the memo key carries the
-    *original* problem's script digest plus ``("cdm", q)`` so pact and
-    CDM artifacts for the same script never collide.
+    The composed formula is compiled once per (problem, q) per process
+    (see :mod:`repro.compile`); the memo key carries the *original*
+    problem's script digest plus ``("cdm", q)`` so pact and CDM
+    artifacts for the same script never collide.
     """
     from repro.core.pact import compile_counting_problem
     if digest is None:
@@ -121,8 +120,8 @@ def build_cdm_solver(assertions: list[Term], projection: list[Term],
     composed, projections = compose_copies(assertions, projection, copies)
     flat_projection = [var for group in projections for var in group]
     artifact = compile_counting_problem(
-        composed, flat_projection, simplify=simplify, digest=digest,
-        kind="cdm", extra=(copies,))
+        composed, flat_projection, digest=digest, kind="cdm",
+        extra=(copies,))
     return SmtSolver.from_compiled(artifact), flat_projection
 
 
@@ -149,15 +148,14 @@ def _constant_parity(rhs: bool) -> Term:
 def cdm_iteration_estimate(solver: SmtSolver, flat_projection: list[Term],
                            seed: int, copies: int, max_index: int,
                            deadline: Deadline, calls: CallCounter,
-                           iteration_index: int, warm_start: int = 1,
-                           incremental: bool = True) -> tuple[int, int]:
+                           iteration_index: int,
+                           warm_start: int = 1) -> tuple[int, int]:
     """One CDM repetition: hash the composed space down to a small cell,
     scale back up, take the exact integer q-th root.  Returns
     ``(estimate, boundary)``; the estimate is pure given the inputs (all
     randomness from ``cdm/iteration<i>``; ``warm_start`` only reorders
     the index-pure probes), the boundary seeds the next repetition's
-    warm start.  ``incremental=False`` rebuilds the hash prefix per
-    probe (the A/B baseline mode)."""
+    warm start."""
     iteration_seeds = SeedSequence(seed, "cdm").child(
         f"iteration{iteration_index}")
     hash_cache: dict[int, Term] = {}
@@ -171,9 +169,8 @@ def cdm_iteration_estimate(solver: SmtSolver, flat_projection: list[Term],
             hash_cache[index] = term
         return term
 
-    ladder_class = HashLadder if incremental else RebuildLadder
-    ladder = ladder_class(solver,
-                          lambda s, index: s.assert_term(get_hash(index)))
+    ladder = HashLadder(solver,
+                        lambda s, index: s.assert_term(get_hash(index)))
 
     def count_at(index: int):
         ladder.set_depth(index)
@@ -194,8 +191,6 @@ def cdm_count(assertions, projection: list[Term], epsilon: float = 0.8,
               timeout: float | None = None,
               iteration_override: int | None = None,
               pool=None, deadline: Deadline | None = None,
-              incremental: bool = True,
-              simplify: bool = True,
               digest: str | None = None) -> CountResult:
     """Approximate projected counting with the CDM construction.
 
@@ -203,11 +198,6 @@ def cdm_count(assertions, projection: list[Term], epsilon: float = 0.8,
     when parallel, the median repetitions fan out across its workers.
     ``deadline`` optionally replaces the ``timeout``-derived deadline
     with an external (possibly cancellable) one, like ``pact_count``'s.
-    ``incremental`` mirrors :class:`repro.core.config.PactConfig`'s
-    knob: False runs the rebuild-per-probe baseline (never changes
-    estimates).  ``simplify`` toggles the compile pipeline's
-    count-preserving CNF simplification over the composed formula
-    (never changes estimates either; the A/B baseline mode).
     """
     if isinstance(assertions, Term):
         assertions = [assertions]
@@ -237,9 +227,7 @@ def cdm_count(assertions, projection: list[Term], epsilon: float = 0.8,
 
     try:
         solver, flat_projection = build_cdm_solver(
-            assertions, projection, copies, simplify=simplify,
-            digest=digest)
-        solver.set_retention(incremental)
+            assertions, projection, copies, digest=digest)
 
         initial = saturating_count(solver, flat_projection, _PIVOT,
                                    deadline, calls)
@@ -255,8 +243,7 @@ def cdm_count(assertions, projection: list[Term], epsilon: float = 0.8,
                 pool, "cdm", assertions, projection, epsilon=epsilon,
                 delta=delta, family="cdm", seed=seed,
                 num_iterations=iterations, deadline=deadline,
-                calls=calls, estimates=estimates,
-                incremental=incremental, simplify=simplify)
+                calls=calls, estimates=estimates)
             if status is not None:
                 return finish(None, status=status)
         else:
@@ -264,11 +251,9 @@ def cdm_count(assertions, projection: list[Term], epsilon: float = 0.8,
             for iteration in range(iterations):
                 estimate, boundary = cdm_iteration_estimate(
                     solver, flat_projection, seed, copies, max_index,
-                    deadline, calls, iteration, warm_start=warm_start,
-                    incremental=incremental)
+                    deadline, calls, iteration, warm_start=warm_start)
                 estimates.append(estimate)
-                if incremental:
-                    warm_start = boundary
+                warm_start = boundary
         return finish(median(estimates))
     except SolverTimeoutError:
         return finish(None, status=Status.TIMEOUT)

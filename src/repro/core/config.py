@@ -18,17 +18,6 @@ class PactConfig:
     reproducible.  ``iteration_override`` (if set) replaces the
     numIt from Algorithm 3 — the harness uses it for scaled-down runs and
     EXPERIMENTS.md documents every such deviation.
-
-    ``incremental`` toggles the incremental solving layer (section
-    III-F): learnt-clause retention across frame pops and warm-starting
-    each iteration's boundary search from the previous boundary.  It
-    never changes estimates (they are pure functions of the hash index);
-    ``False`` exists for A/B benchmarking and regression baselines.
-
-    ``simplify`` toggles the compile pipeline's count-preserving CNF
-    simplification (:mod:`repro.compile`).  Every stage preserves the
-    projected model count, so estimates are bit-identical either way;
-    ``False`` is the A/B baseline mode.
     """
 
     epsilon: float = 0.8
@@ -37,8 +26,6 @@ class PactConfig:
     seed: int = 1
     timeout: float | None = None
     iteration_override: int | None = None
-    incremental: bool = True
-    simplify: bool = True
 
     def __post_init__(self):
         if self.epsilon <= 0:

@@ -17,8 +17,7 @@ stays learnt.
 Determinism: the ladder changes *when* a hash is asserted, never *what*
 is asserted — hash index j is always drawn from its own seed stream and
 always sits in frame j — so cell counts, boundaries and estimates are
-bit-identical to the rebuild-every-probe implementation (asserted by
-``tests/core/test_incremental.py``).
+bit-identical to re-asserting the prefix on a fresh solver per probe.
 """
 
 from __future__ import annotations
@@ -70,32 +69,3 @@ class HashLadder:
         """Pop every ladder frame, restoring the solver's root state."""
         self.set_depth(0)
 
-
-class RebuildLadder:
-    """The pre-ladder baseline behind the same interface.
-
-    :meth:`set_depth` tears down its single frame and re-asserts hashes
-    ``1..index`` into a fresh one on *every* call — exactly the seed
-    implementation's cost model, probe for probe (the A/B baseline that
-    ``PactConfig.incremental=False`` selects).
-    """
-
-    def __init__(self, solver, assert_hash: Callable[[object, int], None]):
-        self._solver = solver
-        self._assert_hash = assert_hash
-        self._open = False
-
-    def set_depth(self, index: int) -> None:
-        if index < 0:
-            raise CounterError(f"negative hash-ladder depth {index}")
-        if self._open:
-            self._solver.pop()
-            self._open = False
-        if index > 0:
-            self._solver.push()
-            self._open = True
-            for j in range(1, index + 1):
-                self._assert_hash(self._solver, j)
-
-    def close(self) -> None:
-        self.set_depth(0)

@@ -36,7 +36,7 @@ from repro.core.cells import SATURATED, CallCounter, saturating_count
 from repro.core.config import PactConfig
 from repro.core.constants import get_constants
 from repro.core.hashes import generate_hash
-from repro.core.ladder import HashLadder, RebuildLadder
+from repro.core.ladder import HashLadder
 from repro.core.result import CountResult
 from repro.core.search import find_boundary
 from repro.core.slicing import dedupe_projection, total_bits
@@ -52,7 +52,6 @@ from repro.utils.stats import median
 
 def compile_counting_problem(assertions: list[Term],
                              projection: list[Term], *,
-                             simplify: bool = True,
                              script: str | None = None,
                              digest: str | None = None,
                              kind: str = "pact", extra: tuple = ()):
@@ -73,19 +72,18 @@ def compile_counting_problem(assertions: list[Term],
         digest = (compile_digest(script) if script is not None
                   else canonical_digest(assertions, projection))
     return compiled_for(assertions, projection, digest=digest,
-                        kind=kind, simplify=simplify, extra=extra)
+                        kind=kind, extra=extra)
 
 
 def build_solver(assertions: list[Term], projection: list[Term], *,
-                 simplify: bool = True, script: str | None = None,
+                 script: str | None = None,
                  digest: str | None = None) -> tuple[SmtSolver, list[int]]:
     """A counting solver plus the flat projection-bit literals the hash
     families constrain — reconstructed from the compile-once artifact
     (preprocessing and Tseitin blasting run at most once per (problem,
     params) per process; see :mod:`repro.compile`)."""
     artifact = compile_counting_problem(assertions, projection,
-                                        simplify=simplify, script=script,
-                                        digest=digest)
+                                        script=script, digest=digest)
     return SmtSolver.from_compiled(artifact), artifact.flat_bits
 
 
@@ -134,8 +132,7 @@ def iteration_estimate(solver: SmtSolver, projection: list[Term],
             hash_cache[index] = constraint
         return constraint
 
-    ladder_class = HashLadder if config.incremental else RebuildLadder
-    ladder = ladder_class(
+    ladder = HashLadder(
         solver, lambda s, index: get_hash(index).assert_into(s, flat_bits))
 
     def count_at(index: int):
@@ -211,9 +208,7 @@ def pact_count(assertions: list[Term], projection: list[Term],
 
     try:
         solver, flat_bits = build_solver(assertions, projection,
-                                         simplify=config.simplify,
                                          digest=digest)
-        solver.set_retention(config.incremental)
 
         # Line 3-4: if the whole projected space is small, count exactly.
         initial = saturating_count(solver, projection, thresh, deadline,
@@ -230,9 +225,7 @@ def pact_count(assertions: list[Term], projection: list[Term],
                 epsilon=config.epsilon, delta=config.delta,
                 family=config.family, seed=config.seed,
                 num_iterations=num_iterations, deadline=deadline,
-                calls=calls, estimates=estimates,
-                incremental=config.incremental,
-                simplify=config.simplify)
+                calls=calls, estimates=estimates)
             if status is not None:
                 return finish(None, status=status)
         else:
@@ -243,11 +236,10 @@ def pact_count(assertions: list[Term], projection: list[Term],
                     slice_width, max_index, deadline, calls, iteration,
                     warm_start=warm_start)
                 estimates.append(estimate)
-                if config.incremental:
-                    # Gallop the next iteration's search from this
-                    # boundary (sound: probe order never changes the
-                    # estimate, see iteration_estimate).
-                    warm_start = boundary
+                # Gallop the next iteration's search from this boundary
+                # (sound: probe order never changes the estimate, see
+                # iteration_estimate).
+                warm_start = boundary
 
         return finish(median(estimates))
     except SolverTimeoutError:
@@ -263,11 +255,8 @@ def _fix_last_hash(solver, projection, flat_bits, get_hash, ladder,
 
     The prefix H[boundary-1] stays — as ladder frames, so it is asserted
     once, not once per replacement width; each candidate last hash gets a
-    scratch frame of its own on top.  (``set_depth`` sits inside the
-    candidate loop: a no-op for :class:`HashLadder` already at that
-    depth, a per-candidate prefix re-assert for :class:`RebuildLadder` —
-    the pre-ladder cost model.)  The last hash is re-generated at halved
-    domain widths while the refined cell stays below thresh; the
+    scratch frame of its own on top.  The last hash is re-generated at
+    halved domain widths while the refined cell stays below thresh; the
     coarsest still-small configuration maximises the cell (best
     accuracy).  Returns (cell_count, total partition product).
     """
@@ -277,13 +266,13 @@ def _fix_last_hash(solver, projection, flat_bits, get_hash, ladder,
     best_count = cell_count
     best_partitions = get_hash(boundary).partitions
 
+    ladder.set_depth(boundary - 1)
     width = slice_width
     while width > 1:
         width //= 2
         replacement = generate_hash(
             projection, width, family,
             iteration_seeds.stream(f"fix{width}"))
-        ladder.set_depth(boundary - 1)
         solver.push()
         try:
             replacement.assert_into(solver, flat_bits)
@@ -302,8 +291,7 @@ def count_projected(assertions, projection, epsilon: float = 0.8,
                     delta: float = 0.2, family: str = "xor",
                     seed: int = 1, timeout: float | None = None,
                     iteration_override: int | None = None,
-                    pool=None, incremental: bool = True,
-                    simplify: bool = True) -> CountResult:
+                    pool=None) -> CountResult:
     """The convenience front door: count with (epsilon, delta) guarantees.
 
     See :class:`repro.core.config.PactConfig` for parameter semantics;
@@ -313,7 +301,6 @@ def count_projected(assertions, projection, epsilon: float = 0.8,
         assertions = [assertions]
     config = PactConfig(epsilon=epsilon, delta=delta, family=family,
                         seed=seed, timeout=timeout,
-                        iteration_override=iteration_override,
-                        incremental=incremental, simplify=simplify)
+                        iteration_override=iteration_override)
     return pact_count(list(assertions), list(projection), config,
                       pool=pool)

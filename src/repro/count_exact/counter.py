@@ -510,7 +510,7 @@ def _merge_driver_stats(stats: CcStats, driver) -> None:
 
 def cc_count(assertions, projection: list[Term],
              timeout: float | None = None, *,
-             deadline: Deadline | None = None, simplify: bool = True,
+             deadline: Deadline | None = None,
              script: str | None = None,
              digest: str | None = None,
              pool=None, component_store=None,
@@ -518,9 +518,9 @@ def cc_count(assertions, projection: list[Term],
     """Count |Sol(F)|_S| exactly by component-caching search.
 
     Same calling convention as the other counters: ``deadline``
-    optionally replaces the ``timeout``-derived deadline; ``simplify``
-    selects the compile pipeline's A/B mode; ``digest`` short-circuits
-    artifact hashing when the caller already has the compile key.
+    optionally replaces the ``timeout``-derived deadline; ``digest``
+    short-circuits artifact hashing when the caller already has the
+    compile key.
     ``pool`` fans top-level components out across workers,
     ``component_store`` names the shared on-disk component cache,
     ``split_support`` tunes the cube-and-conquer threshold (see
@@ -533,8 +533,7 @@ def cc_count(assertions, projection: list[Term],
     if deadline is None:
         deadline = Deadline(timeout)
     artifact = compile_counting_problem(list(assertions), list(projection),
-                                        simplify=simplify, script=script,
-                                        digest=digest)
+                                        script=script, digest=digest)
     result = count_compiled(artifact, deadline=deadline,
                             pool=pool, component_store=component_store,
                             split_support=split_support)

@@ -29,10 +29,11 @@ from __future__ import annotations
 
 import json
 import os
-import sqlite3
 import threading
 import time
 from pathlib import Path
+
+from repro.utils.sqlite import open_wal
 
 __all__ = ["ComponentStore", "decode_signature", "encode_signature",
            "signature_mask"]
@@ -119,14 +120,7 @@ class ComponentStore:
         self.flushed = 0
         self.corrupt = 0
         self._lock = threading.RLock()
-        self._conn = sqlite3.connect(self.path, timeout=30.0,
-                                     check_same_thread=False)
-        with self._lock:
-            self._conn.execute("PRAGMA journal_mode=WAL")
-            self._conn.execute("PRAGMA synchronous=NORMAL")
-            self._conn.execute("PRAGMA busy_timeout=30000")
-            self._conn.executescript(_SCHEMA)
-            self._conn.commit()
+        self._conn = open_wal(self.path, _SCHEMA)
 
     # ------------------------------------------------------------------
     def load(self, projection: frozenset) -> dict[tuple, int]:

@@ -178,16 +178,15 @@ class ResultStore(abc.ABC):
 
     # -- compiled artifacts -------------------------------------------
     @abc.abstractmethod
-    def get_artifact(self, digest: str, simplified: bool = True) -> dict | None:
+    def get_artifact(self, digest: str) -> dict | None:
         """Load a compiled-artifact payload (None on miss/corruption)."""
 
     @abc.abstractmethod
-    def has_artifact(self, digest: str, simplified: bool = True) -> bool:
+    def has_artifact(self, digest: str) -> bool:
         """Existence check without touching hit/miss accounting."""
 
     @abc.abstractmethod
-    def put_artifact(self, digest: str, payload: Mapping,
-                     simplified: bool = True) -> None:
+    def put_artifact(self, digest: str, payload: Mapping) -> None:
         """Persist a compiled-artifact payload."""
 
     # -- lifecycle -----------------------------------------------------
@@ -340,14 +339,14 @@ class ResultCache(ResultStore):
     # ------------------------------------------------------------------
     # compiled artifacts (one file per digest, LRU by mtime)
     # ------------------------------------------------------------------
-    def _artifact_path(self, digest: str, simplified: bool) -> Path:
-        mode = "s1" if simplified else "s0"
-        return self.artifact_dir / f"{digest}-{mode}.json"
+    def _artifact_path(self, digest: str) -> Path:
+        # The "-s1" suffix is the historical name, kept so artifact
+        # directories written by earlier versions keep hitting.
+        return self.artifact_dir / f"{digest}-s1.json"
 
-    def get_artifact(self, digest: str,
-                     simplified: bool = True) -> dict | None:
+    def get_artifact(self, digest: str) -> dict | None:
         """Load a compiled-artifact payload (None on miss/corruption)."""
-        path = self._artifact_path(digest, simplified)
+        path = self._artifact_path(digest)
         try:
             payload = json.loads(path.read_text())
         except (OSError, ValueError):
@@ -366,17 +365,16 @@ class ResultCache(ResultStore):
             self.artifact_hits += 1
         return payload
 
-    def has_artifact(self, digest: str, simplified: bool = True) -> bool:
+    def has_artifact(self, digest: str) -> bool:
         """Existence check without touching hit/miss accounting."""
-        return self._artifact_path(digest, simplified).exists()
+        return self._artifact_path(digest).exists()
 
-    def put_artifact(self, digest: str, payload: Mapping,
-                     simplified: bool = True) -> None:
+    def put_artifact(self, digest: str, payload: Mapping) -> None:
         """Persist a compiled-artifact payload (atomic, then LRU-trim)."""
         with self._lock:
             self.artifact_dir.mkdir(parents=True, exist_ok=True)
             _write_atomic(self.artifact_dir,
-                          self._artifact_path(digest, simplified),
+                          self._artifact_path(digest),
                           ".artifact-", dict(payload))
             self._trim_artifacts()
 

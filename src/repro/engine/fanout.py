@@ -53,10 +53,6 @@ class IterationSpec:
     ``algorithm`` is "pact" or "cdm"; ``script`` is the full SMT-LIB
     serialisation (declarations, ``:projected-vars``, assertions);
     the remaining fields are the counting parameters an iteration needs.
-    ``incremental`` mirrors :class:`repro.core.config.PactConfig` — when
-    False, workers skip warm-start chains and learnt retention (the A/B
-    baseline mode); ``simplify`` selects the compile pipeline's
-    count-preserving simplification (off = the A/B baseline).
     ``digest`` is the script's artifact digest, computed once by
     :func:`make_spec` and shipped with the spec: workers key the
     per-process compile memo (and the parse memo) on it directly, so
@@ -70,8 +66,6 @@ class IterationSpec:
     delta: float
     family: str
     seed: int
-    incremental: bool = True
-    simplify: bool = True
     digest: str = ""
 
     def artifact_digest(self) -> str:
@@ -140,9 +134,7 @@ def preseed_parse_memo(script: str, assertions, projection) -> None:
 
 
 def make_spec(algorithm: str, assertions, projection, *, epsilon: float,
-              delta: float, family: str, seed: int,
-              incremental: bool = True,
-              simplify: bool = True) -> IterationSpec:
+              delta: float, family: str, seed: int) -> IterationSpec:
     """Build a spec from in-memory terms, pre-seeding the parse memo so
     in-process workers reuse the original term objects.  The artifact
     digest is computed here, once, and travels with the spec."""
@@ -151,16 +143,13 @@ def make_spec(algorithm: str, assertions, projection, *, epsilon: float,
     preseed_parse_memo(script, assertions, projection)
     return IterationSpec(algorithm=algorithm, script=script,
                          epsilon=epsilon, delta=delta, family=family,
-                         seed=seed, incremental=incremental,
-                         simplify=simplify, digest=_digest(script))
+                         seed=seed, digest=_digest(script))
 
 
 def iteration_tasks(algorithm: str, assertions, projection, *,
                     epsilon: float, delta: float, family: str, seed: int,
                     num_iterations: int,
-                    deadline_at: float | None = None,
-                    incremental: bool = True,
-                    simplify: bool = True) -> list[Task]:
+                    deadline_at: float | None = None) -> list[Task]:
     """One :class:`Task` per iteration, keyed by iteration index.
 
     ``deadline_at`` is the run's absolute monotonic deadline: the whole
@@ -168,8 +157,7 @@ def iteration_tasks(algorithm: str, assertions, projection, *,
     of the counter's total timeout, exactly like the serial loop.
     """
     spec = make_spec(algorithm, assertions, projection, epsilon=epsilon,
-                     delta=delta, family=family, seed=seed,
-                     incremental=incremental, simplify=simplify)
+                     delta=delta, family=family, seed=seed)
     return [Task(key=index, fn=_iteration_task, args=(spec, index),
                  deadline_at=deadline_at)
             for index in range(num_iterations)]
@@ -178,9 +166,7 @@ def iteration_tasks(algorithm: str, assertions, projection, *,
 def fan_out_iterations(pool, algorithm: str, assertions, projection, *,
                        epsilon: float, delta: float, family: str,
                        seed: int, num_iterations: int, deadline, calls,
-                       estimates: list,
-                       incremental: bool = True,
-                       simplify: bool = True) -> str | None:
+                       estimates: list) -> str | None:
     """Run a counter's iterations across ``pool``, filling ``estimates``
     in iteration order and aggregating oracle calls into ``calls``.
 
@@ -194,8 +180,7 @@ def fan_out_iterations(pool, algorithm: str, assertions, projection, *,
     tasks = iteration_tasks(
         algorithm, assertions, projection, epsilon=epsilon, delta=delta,
         family=family, seed=seed, num_iterations=num_iterations,
-        deadline_at=deadline_at, incremental=incremental,
-        simplify=simplify)
+        deadline_at=deadline_at)
     status = None
     for result in pool.run(tasks):
         if result.ok:
@@ -254,18 +239,14 @@ def _pact_iteration(assertions, projection, spec, deadline, calls,
     )
 
     config = PactConfig(epsilon=spec.epsilon, delta=spec.delta,
-                        family=spec.family, seed=spec.seed,
-                        incremental=spec.incremental,
-                        simplify=spec.simplify)
+                        family=spec.family, seed=spec.seed)
     thresh, _, slice_width = get_constants(
         config.epsilon, config.delta, config.family)
     solver, flat_bits = build_solver(assertions, projection,
-                                     simplify=config.simplify,
                                      digest=spec.artifact_digest())
-    solver.set_retention(config.incremental)
     max_index = max_hash_index(projection, config.family, slice_width)
     key = _warm_key(spec)
-    warm = _warm_starts.get(key, 1) if config.incremental else 1
+    warm = _warm_starts.get(key, 1)
     try:
         estimate, boundary = iteration_estimate(
             solver, projection, flat_bits, config, thresh, slice_width,
@@ -275,8 +256,7 @@ def _pact_iteration(assertions, projection, spec, deadline, calls,
         # pact_count does for the serial one (the pool ships a process
         # worker's telemetry delta home).
         TELEMETRY.merge(solver.sat.stats, prefix="pact.")
-    if config.incremental:
-        _remember_warm(key, boundary)
+    _remember_warm(key, boundary)
     return estimate
 
 
@@ -289,19 +269,15 @@ def _cdm_iteration(assertions, projection, spec, deadline, calls,
 
     copies = copy_count(spec.epsilon)
     solver, flat_projection = build_cdm_solver(
-        assertions, projection, copies, simplify=spec.simplify,
-        digest=spec.artifact_digest())
-    solver.set_retention(spec.incremental)
+        assertions, projection, copies, digest=spec.artifact_digest())
     max_index = total_bits(flat_projection)
     key = _warm_key(spec)
-    warm = _warm_starts.get(key, 1) if spec.incremental else 1
+    warm = _warm_starts.get(key, 1)
     try:
         estimate, boundary = cdm_iteration_estimate(
             solver, flat_projection, spec.seed, copies, max_index,
-            deadline, calls, iteration_index, warm_start=warm,
-            incremental=spec.incremental)
+            deadline, calls, iteration_index, warm_start=warm)
     finally:
         TELEMETRY.merge(solver.sat.stats, prefix="cdm.")
-    if spec.incremental:
-        _remember_warm(key, boundary)
+    _remember_warm(key, boundary)
     return estimate

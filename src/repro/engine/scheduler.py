@@ -66,13 +66,10 @@ def slot_fingerprint(instance: Instance, configuration: str,
                      preset: Preset) -> str:
     """Cache key: formula + projection + everything that changes the
     answer or the budget."""
-    from repro.api.problem import key_solver_modes
-    params = key_solver_modes(
-        {"configuration": configuration, "epsilon": preset.epsilon,
-         "delta": preset.delta, "seed": preset.base_seed,
-         "timeout": preset.timeout,
-         "iterations": preset.iteration_override},
-        incremental=preset.incremental, simplify=preset.simplify)
+    params = {"configuration": configuration, "epsilon": preset.epsilon,
+              "delta": preset.delta, "seed": preset.base_seed,
+              "timeout": preset.timeout,
+              "iterations": preset.iteration_override}
     return formula_fingerprint(instance.assertions, instance.projection,
                                params)
 

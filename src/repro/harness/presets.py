@@ -23,14 +23,6 @@ class Preset:
     min_count: int = 500
     sat_budget: float | None = 2.0
     base_seed: int = 1
-    # pact's incremental solving layer (ladder warm starts + learnt
-    # retention); estimates are identical either way — False runs the
-    # whole matrix in rebuild-baseline mode for A/B measurements.
-    incremental: bool = True
-    # the compile pipeline's count-preserving CNF simplification;
-    # estimates are identical either way — False runs the whole matrix
-    # on unsimplified clause databases for A/B measurements.
-    simplify: bool = True
 
     @classmethod
     def paper(cls) -> "Preset":

@@ -73,8 +73,7 @@ def preset_request(configuration: str, preset: Preset) -> CountRequest:
     return CountRequest(
         counter=configuration, epsilon=preset.epsilon, delta=preset.delta,
         seed=preset.base_seed, timeout=preset.timeout,
-        iteration_override=preset.iteration_override,
-        incremental=preset.incremental, simplify=preset.simplify)
+        iteration_override=preset.iteration_override)
 
 
 def record_of(response: CountResponse, configuration: str,

@@ -29,8 +29,8 @@ repeated incremental solves):
   frames — pact's hash constraints — are never touched);
 * push/pop frames: clauses, XOR rows, variables and level-0 implications
   added after a :meth:`SatSolver.push` vanish on :meth:`SatSolver.pop`;
-* safe learnt-clause retention across :meth:`SatSolver.pop` (disable
-  with ``retain_learnts = False``);
+* safe learnt-clause retention across :meth:`SatSolver.pop`
+  (``retain_learnts = False`` turns it off: a test reference only);
 * wall-clock deadlines and conflict budgets.
 
 Literals are DIMACS-style signed ints (see :mod:`repro.sat.types`).

@@ -62,8 +62,7 @@ __all__ = ["CountingService", "ServeConfig"]
 
 # Request fields shared by every route and forwarded into CountRequest.
 _REQUEST_FIELDS = ("counter", "epsilon", "delta", "seed",
-                   "iteration_override", "limit", "incremental",
-                   "simplify")
+                   "iteration_override", "limit")
 # Flush the store every this many completed jobs (and at shutdown) —
 # frequent enough that a crash loses little, rare enough that the JSON
 # backend's whole-document rewrite stays off the hot path.

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import os
-import sqlite3
 import threading
 import time
 from pathlib import Path
@@ -40,11 +39,14 @@ from typing import Mapping
 from repro.engine.cache import (
     DEFAULT_MAX_ARTIFACTS, ResultCache, ResultStore,
 )
+from repro.utils.sqlite import open_wal
 
 __all__ = ["SqliteStore", "open_store"]
 
 SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
 
+# ``artifacts.simplified`` is always 1; it stays in the key so databases
+# written by earlier versions keep hitting.
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS entries (
     fingerprint TEXT PRIMARY KEY,
@@ -84,14 +86,7 @@ class SqliteStore(ResultStore):
         self.artifact_misses = 0
         self.artifact_evictions = 0
         self._lock = threading.RLock()
-        self._conn = sqlite3.connect(self.path, timeout=30.0,
-                                     check_same_thread=False)
-        with self._lock:
-            self._conn.execute("PRAGMA journal_mode=WAL")
-            self._conn.execute("PRAGMA synchronous=NORMAL")
-            self._conn.execute("PRAGMA busy_timeout=30000")
-            self._conn.executescript(_SCHEMA)
-            self._conn.commit()
+        self._conn = open_wal(self.path, _SCHEMA)
 
     # ------------------------------------------------------------------
     # results
@@ -163,13 +158,12 @@ class SqliteStore(ResultStore):
     # ------------------------------------------------------------------
     # compiled artifacts
     # ------------------------------------------------------------------
-    def get_artifact(self, digest: str,
-                     simplified: bool = True) -> dict | None:
+    def get_artifact(self, digest: str) -> dict | None:
         with self._lock:
             row = self._conn.execute(
                 "SELECT payload FROM artifacts"
-                " WHERE digest = ? AND simplified = ?",
-                (digest, int(simplified))).fetchone()
+                " WHERE digest = ? AND simplified = 1",
+                (digest,)).fetchone()
             if row is None:
                 self.artifact_misses += 1
                 return None
@@ -183,31 +177,29 @@ class SqliteStore(ResultStore):
                 return None
             self._conn.execute(
                 "UPDATE artifacts SET used_at = ?"
-                " WHERE digest = ? AND simplified = ?",
-                (time.time(), digest, int(simplified)))
+                " WHERE digest = ? AND simplified = 1",
+                (time.time(), digest))
             self._conn.commit()
             self.artifact_hits += 1
             return payload
 
-    def has_artifact(self, digest: str, simplified: bool = True) -> bool:
+    def has_artifact(self, digest: str) -> bool:
         with self._lock:
             row = self._conn.execute(
                 "SELECT 1 FROM artifacts"
-                " WHERE digest = ? AND simplified = ?",
-                (digest, int(simplified))).fetchone()
+                " WHERE digest = ? AND simplified = 1",
+                (digest,)).fetchone()
             return row is not None
 
-    def put_artifact(self, digest: str, payload: Mapping,
-                     simplified: bool = True) -> None:
+    def put_artifact(self, digest: str, payload: Mapping) -> None:
         with self._lock:
             self._conn.execute(
                 "INSERT INTO artifacts (digest, simplified, payload,"
-                " used_at) VALUES (?, ?, ?, ?)"
+                " used_at) VALUES (?, 1, ?, ?)"
                 " ON CONFLICT(digest, simplified) DO UPDATE SET"
                 " payload = excluded.payload,"
                 " used_at = excluded.used_at",
-                (digest, int(simplified), json.dumps(dict(payload)),
-                 time.time()))
+                (digest, json.dumps(dict(payload)), time.time()))
             if self.max_artifacts is not None:
                 cursor = self._conn.execute(
                     "DELETE FROM artifacts WHERE (digest, simplified) IN"

@@ -12,8 +12,8 @@ Architecture (mirroring the CVC5 configuration pact uses, section III-F):
   clauses and all preprocessing registries — the exact discipline
   SaturatingCounter and the hash ladder need; learnt clauses whose
   derivation never touched the popped frame are *retained* by the SAT
-  core (see :meth:`set_retention`), so popping a blocking frame or a
-  ladder rung keeps what the solver learnt about the rest;
+  core, so popping a blocking frame or a ladder rung keeps what the
+  solver learnt about the rest;
 * XOR hash constraints go straight to the native XOR engine via
   :meth:`assert_xor_bits`.
 """
@@ -119,14 +119,6 @@ class SmtSolver:
         """Number of open frames (the hash ladder's rung count lives
         within this)."""
         return len(self._assertion_stack) - 1
-
-    def set_retention(self, enabled: bool) -> None:
-        """Toggle the SAT core's learnt-clause retention across pops.
-
-        On by default; pact turns it off when ``PactConfig.incremental``
-        is False (A/B benchmarking, regression baselines).
-        """
-        self.sat.retain_learnts = enabled
 
     @property
     def retained_learnts(self) -> int:

@@ -40,15 +40,11 @@ def test_old_quickstart_runs_verbatim(capsys):
 
 def test_legacy_signatures_unchanged():
     signature = inspect.signature(count_projected)
-    # The legacy parameters stay first and in order; ``incremental``
-    # and ``simplify`` are defaulted extensions at the tail, so every
+    # The legacy parameters stay first and in order, so every
     # pre-existing call works.
     assert list(signature.parameters) == [
         "assertions", "projection", "epsilon", "delta", "family", "seed",
-        "timeout", "iteration_override", "pool", "incremental",
-        "simplify"]
-    assert signature.parameters["incremental"].default is True
-    assert signature.parameters["simplify"].default is True
+        "timeout", "iteration_override", "pool"]
     assert signature.parameters["epsilon"].default == 0.8
     assert signature.parameters["family"].default == "xor"
     for fn, first_params in (

@@ -24,43 +24,6 @@ def _request(**overrides):
     return CountRequest(**defaults)
 
 
-class TestIncrementalKnob:
-    def test_incremental_off_same_estimates(self):
-        """The A/B baseline mode through the API: identical estimates."""
-        problem = _problem("ss_inc")
-        warm = Session().count(problem, _request())
-        cold = Session().count(problem, _request(incremental=False))
-        assert warm.estimates == cold.estimates
-        assert warm.estimate == cold.estimate
-
-    def test_count_batch_threads_knob_to_workers(self, tmp_path):
-        """count_batch must run (and cache) under the requested mode —
-        the picklable spec carries ``incremental`` to the workers."""
-        problem = _problem("ss_incbatch")
-        request = _request(incremental=False)
-        session = Session(cache_dir=tmp_path)
-        [response] = session.count_batch([problem], request)
-        session.close()
-        baseline = Session().count(problem, request)
-        assert response.estimates == baseline.estimates
-        cache = ResultCache(tmp_path)
-        key = problem.fingerprint(request.cache_params("pact:xor"))
-        assert cache.get(key) is not None
-
-    def test_default_fingerprint_unchanged_by_knob(self):
-        """Default-mode fingerprints must stay byte-identical to caches
-        written before the knob existed; only incremental=False keys
-        differently (its solver_calls/timing differ)."""
-        problem = _problem("ss_incfp")
-        default = problem.fingerprint(_request().cache_params())
-        explicit = problem.fingerprint(
-            _request(incremental=True).cache_params())
-        baseline = problem.fingerprint(
-            _request(incremental=False).cache_params())
-        assert default == explicit
-        assert baseline != default
-
-
 class TestCount:
     def test_count_matches_legacy(self):
         from repro import count_projected

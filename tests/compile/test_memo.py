@@ -35,14 +35,15 @@ class TestExactlyOnce:
             compiled_for(assertions, projection, digest="d1")
         counters = compile_counters()
         assert counters["builds"] == 1
-        assert counters["per_key"] == {("d1", "pact", True): 1}
+        assert counters["per_key"] == {("d1", "pact"): 1}
 
     def test_distinct_params_build_separately(self):
         assertions, projection = _formula("memo_b")
         compiled_for(assertions, projection, digest="d1")
-        compiled_for(assertions, projection, digest="d1", simplify=False)
         compiled_for(assertions, projection, digest="d1", kind="cdm",
                      extra=(2,))
+        compiled_for(assertions, projection, digest="d1", kind="cdm",
+                     extra=(3,))
         assert compile_counters()["builds"] == 3
 
     def test_thread_race_builds_once(self):

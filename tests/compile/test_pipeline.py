@@ -4,7 +4,7 @@ DIMACS export and the on-disk payload round trip."""
 import pytest
 
 from repro.benchgen.suite import build_suite
-from repro.compile import CompiledProblem, compile_problem
+from repro.compile import STAGES, CompiledProblem, compile_problem
 from repro.core.cells import CallCounter, saturating_count
 from repro.core.enumerate import exact_count
 from repro.sat.dimacs import load_solver, parse_dimacs_document
@@ -31,10 +31,10 @@ class TestCountingEquivalence:
     @pytest.mark.parametrize("instance", _instances(),
                              ids=lambda inst: inst.logic)
     def test_compiled_counts_match_known(self, instance):
-        for simplify in (True, False):
+        for stages in (STAGES, ()):
             artifact = compile_problem(instance.assertions,
                                        instance.projection,
-                                       simplify=simplify, digest="t")
+                                       stages=stages, digest="t")
             assert _exact_via(artifact) == instance.known_count
 
     def test_matches_legacy_direct_solver(self):
@@ -47,12 +47,12 @@ class TestCountingEquivalence:
     def test_variable_numbering_stable_across_modes(self):
         # Simplification may only remove/rewrite clauses, never
         # deallocate variables: later allocations (hash gates, blocking
-        # frames) must number identically with the knob on or off.
+        # frames) must number identically with or without it.
         instance = _instances()[0]
         on = compile_problem(instance.assertions, instance.projection,
-                             simplify=True, digest="t")
+                             digest="t")
         off = compile_problem(instance.assertions, instance.projection,
-                              simplify=False, digest="t")
+                              stages=(), digest="t")
         assert on.num_vars == off.num_vars
         assert on.projection_bits == off.projection_bits
         assert on.true_lit == off.true_lit
@@ -76,7 +76,7 @@ class TestArtifactStructure:
             assert set(artifact.support) <= positions
             # unsimplified artifacts report the full support
             raw = compile_problem(instance.assertions,
-                                  instance.projection, simplify=False,
+                                  instance.projection, stages=(),
                                   digest="t")
             assert list(raw.support) == sorted(positions)
 

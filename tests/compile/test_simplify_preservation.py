@@ -12,14 +12,18 @@ solver stack.  For every stage prefix of the pipeline —
 models of the reconstructed solver must reproduce that count.  The
 ``support`` stage is analysis-only; the projected count over the
 *minimised* support must still equal the full count (dropped bits are
-determined by the remaining ones).
+determined by the remaining ones).  pact's per-iteration estimates on
+the default artifact must equal those on the unsimplified one
+(``stages=()``) for every hash family.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.benchgen.generators import GENERATORS
-from repro.compile import compile_problem
+from repro.compile import compile_problem, preseed_compile_memo
 from repro.compile.simplify import STAGES
+from repro.core import PactConfig, pact_count
 from repro.core.cells import CallCounter, saturating_count
 from repro.smt.solver import SmtSolver
 from repro.utils.deadline import Deadline
@@ -45,8 +49,8 @@ def test_each_stage_prefix_preserves_projected_count(logic, seed):
     instance = _instance(logic, seed)
     for stages in PREFIXES:
         artifact = compile_problem(
-            instance.assertions, instance.projection,
-            simplify=bool(stages), stages=stages, digest="prop")
+            instance.assertions, instance.projection, stages=stages,
+            digest="prop")
         assert _projected_count(artifact) == instance.known_count, (
             f"{logic} seed={seed} stages={stages}")
 
@@ -79,3 +83,19 @@ def test_minimised_support_preserves_count_on_cnf(logic, seed):
         assert count == instance.known_count
     finally:
         sat.pop()
+
+
+
+@pytest.mark.parametrize("family", ("xor", "prime", "shift"))
+def test_estimates_match_the_unsimplified_artifact(family):
+    config = PactConfig(family=family, seed=11, iteration_override=3)
+    for logic in ("QF_BVFP", "QF_ABV"):
+        instance = GENERATORS[logic](5, width=9)
+        assertions, projection = instance.assertions, instance.projection
+        raw = compile_problem(assertions, projection, stages=(),
+                              digest=f"unsimplified-{logic}")
+        preseed_compile_memo(raw)  # the counter then solves on ``raw``
+        unsimplified = pact_count(assertions, projection, config,
+                                  digest=raw.digest)
+        default = pact_count(assertions, projection, config)
+        assert unsimplified.estimates == default.estimates, logic

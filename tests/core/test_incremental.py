@@ -3,16 +3,21 @@
 The determinism contract: warm starts and ladder frames change the probe
 *order*, learnt-clause retention changes solver *speed* — none of them
 may change per-iteration estimates, which are pure functions of
-(formula, config, iteration index).  The cold path
-(``incremental=False``: search start 1 every iteration, no retention)
-reproduces the pre-ladder implementation probe-for-probe, so equality
-against it is equality against the seed behaviour.
+(formula, config, iteration index).  The reference runs every iteration
+with none of that state: a fresh solver per iteration, the search
+started at index 1 and learnt clauses dropped on every pop.
 """
 
 import pytest
 
 from repro.core import HashLadder, PactConfig, cdm_count, pact_count
+from repro.core.cdm import (
+    build_cdm_solver, cdm_iteration_estimate, copy_count,
+)
 from repro.core.cells import CallCounter, saturating_count
+from repro.core.constants import get_constants
+from repro.core.pact import build_solver, iteration_estimate, max_hash_index
+from repro.core.slicing import total_bits
 from repro.engine.pool import ExecutionPool
 from repro.errors import CounterError
 from repro.smt import SmtSolver, bv_ult, bv_val, bv_var
@@ -27,39 +32,78 @@ def _dense_formula(width, name):
     return [bv_ult(x, bv_val(bound, width))], [x]
 
 
-def _run(formula, projection, family, incremental, iterations=4):
-    config = PactConfig(family=family, seed=11,
-                        iteration_override=iterations,
-                        incremental=incremental)
-    return pact_count(formula, projection, config)
+def _config(family, iterations=4):
+    return PactConfig(family=family, seed=11,
+                      iteration_override=iterations)
+
+
+def _reference(formula, projection, config):
+    """pact's estimates and solver calls without incremental state: the
+    initial count and every iteration on a fresh solver, each search
+    started at index 1, learnt clauses dropped on every pop."""
+    thresh, _, slice_width = get_constants(
+        config.epsilon, config.delta, config.family)
+    max_index = max_hash_index(projection, config.family, slice_width)
+    calls = CallCounter()
+    solver, _ = build_solver(formula, projection)
+    saturating_count(solver, projection, thresh, Deadline.unlimited(),
+                     calls)
+    estimates = []
+    for iteration in range(config.iteration_override):
+        solver, flat_bits = build_solver(formula, projection)
+        solver.sat.retain_learnts = False
+        estimate, _ = iteration_estimate(
+            solver, projection, flat_bits, config, thresh, slice_width,
+            max_index, Deadline.unlimited(), calls, iteration,
+            warm_start=1)
+        estimates.append(estimate)
+    return estimates, calls.solver_calls
 
 
 class TestBitIdenticalEstimates:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_warm_start_never_changes_estimates(self, family):
         formula, projection = _dense_formula(10, f"inc_{family}")
-        warm = _run(formula, projection, family, incremental=True)
-        cold = _run(formula, projection, family, incremental=False)
-        assert warm.solved and cold.solved
-        assert warm.estimates == cold.estimates
-        assert warm.estimate == cold.estimate
+        config = _config(family)
+        serial = pact_count(formula, projection, config)
+        estimates, _ = _reference(formula, projection, config)
+        assert serial.solved
+        assert serial.estimates == estimates
 
     def test_warm_start_reduces_solver_calls(self):
         # Deep boundaries (wide dense space) is where galloping from the
         # previous boundary beats doubling up from index 1.
         formula, projection = _dense_formula(14, "inc_calls")
-        warm = _run(formula, projection, "xor", incremental=True,
-                    iterations=5)
-        cold = _run(formula, projection, "xor", incremental=False,
-                    iterations=5)
-        assert warm.estimates == cold.estimates
-        assert warm.solver_calls < cold.solver_calls
+        config = _config("xor", iterations=5)
+        serial = pact_count(formula, projection, config)
+        estimates, calls = _reference(formula, projection, config)
+        assert serial.estimates == estimates
+        assert serial.solver_calls < calls
+
+    def test_cdm_warm_start_never_changes_estimates(self):
+        # epsilon=2 keeps the self-composition at q=2 copies.
+        formula, projection = _dense_formula(6, "inc_cdm_ref")
+        serial = cdm_count(formula, projection, epsilon=2.0, seed=11,
+                           iteration_override=3)
+        copies = copy_count(2.0)
+        calls = CallCounter()
+        estimates = []
+        for iteration in range(3):
+            solver, flat_projection = build_cdm_solver(
+                formula, projection, copies)
+            solver.sat.retain_learnts = False
+            estimate, _ = cdm_iteration_estimate(
+                solver, flat_projection, 11, copies,
+                total_bits(flat_projection), Deadline.unlimited(), calls,
+                iteration, warm_start=1)
+            estimates.append(estimate)
+        assert serial.solved
+        assert serial.estimates == estimates
 
     def test_fanout_workers_match_serial_with_warm_chains(self):
         formula, projection = _dense_formula(10, "inc_fan")
-        serial = _run(formula, projection, "xor", incremental=True,
-                      iterations=4)
-        config = PactConfig(family="xor", seed=11, iteration_override=4)
+        config = _config("xor")
+        serial = pact_count(formula, projection, config)
         fanned = pact_count(formula, projection, config,
                             pool=ExecutionPool(2, "thread"))
         assert fanned.estimates == serial.estimates

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.api import CountRequest, Problem, resolve
-from repro.compile import CompiledProblem
+from repro.compile import CompiledProblem, compile_problem
 from repro.count_exact import (
     MAX_CLOSURE_ATOMS, cc_count, component_signature, count_compiled,
     lra_closure, projection_occurrences,
@@ -57,8 +57,8 @@ class TestCounts:
     def test_simplify_ab_is_bit_identical(self):
         x = bv_var("cc_ab", 9)
         assertions = [bv_ult(x, bv_val(397, 9))]
-        on = cc_count(assertions, [x], simplify=True)
-        off = cc_count(assertions, [x], simplify=False)
+        on = cc_count(assertions, [x])
+        off = count_compiled(compile_problem(assertions, [x], stages=()))
         assert on.estimate == off.estimate == 397
 
     def test_deterministic_stats(self):
@@ -155,7 +155,7 @@ def _cnf_artifact(num_vars, clauses, xors, projection_vars):
     return CompiledProblem(
         digest="cc_raw", snapshot=solver.snapshot(), true_lit=0,
         projection=(term,),
-        projection_bits=(tuple(projection_vars),), simplified=False)
+        projection_bits=(tuple(projection_vars),))
 
 
 def _brute_force(num_vars, clauses, xors, projection_vars):

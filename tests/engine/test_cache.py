@@ -1,5 +1,7 @@
 """Fingerprints and the JSON-on-disk result cache."""
 
+import json
+
 from repro.engine.cache import (
     ResultCache, formula_fingerprint, script_fingerprint,
 )
@@ -136,7 +138,6 @@ class TestCorruptTolerance:
         assert ResultCache(tmp_path).get("fp") is not None
 
     def test_corrupt_entry_dropped_not_fatal(self, tmp_path):
-        import json
         (tmp_path / "pact-cache.json").write_text(json.dumps({
             "version": 1,
             "entries": {"good": {"estimate": 5, "status": "ok"},
@@ -158,14 +159,17 @@ class TestArtifactStore:
         assert cache.stats["artifact_hits"] == 1
         assert cache.stats["artifact_misses"] == 1
 
-    def test_modes_stored_separately(self, tmp_path):
+    def test_artifact_file_keeps_the_s1_name(self, tmp_path):
+        """``<digest>-s1.json`` is where caches written by earlier
+        versions keep their artifacts."""
         cache = ResultCache(tmp_path)
-        cache.put_artifact("d1", {"mode": "on"}, simplified=True)
-        cache.put_artifact("d1", {"mode": "off"}, simplified=False)
-        assert cache.get_artifact("d1", simplified=True)["mode"] == "on"
-        assert cache.get_artifact("d1", simplified=False)["mode"] == "off"
-        assert cache.has_artifact("d1") and cache.has_artifact(
-            "d1", simplified=False)
+        cache.put_artifact("d1", {"digest": "d1"})
+        assert [path.name for path in cache.artifact_dir.iterdir()] == [
+            "d1-s1.json"]
+        (cache.artifact_dir / "d2-s1.json").write_text(
+            json.dumps({"digest": "d2"}))
+        assert cache.has_artifact("d2")
+        assert cache.get_artifact("d2") == {"digest": "d2"}
 
     def test_corrupt_artifact_reads_as_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -178,7 +182,7 @@ class TestArtifactStore:
         cache = ResultCache(tmp_path, max_artifacts=2)
         for index, digest in enumerate(("a", "b", "c")):
             cache.put_artifact(digest, {"index": index})
-            path = cache._artifact_path(digest, True)
+            path = cache._artifact_path(digest)
             os.utime(path, (index, index))  # deterministic mtimes
         cache.put_artifact("d", {"index": 3})
         names = sorted(p.name for p in cache.artifact_dir.glob("*.json"))
@@ -224,7 +228,7 @@ class TestAtomicWrites:
             self, tmp_path, monkeypatch):
         cache = ResultCache(tmp_path)
         cache.put_artifact("d1", {"cnf": [1]})
-        good = cache._artifact_path("d1", True).read_text()
+        good = cache._artifact_path("d1").read_text()
 
         import os as os_module
         def crash(src, dst):
@@ -235,7 +239,7 @@ class TestAtomicWrites:
         except OSError:
             pass
         monkeypatch.undo()
-        assert cache._artifact_path("d1", True).read_text() == good
+        assert cache._artifact_path("d1").read_text() == good
         assert cache.get_artifact("d1") == {"cnf": [1]}
 
     def test_no_temp_files_survive_a_clean_flush(self, tmp_path):

@@ -109,18 +109,24 @@ class TestResultStoreContract:
 
 
 class TestArtifacts:
-    def test_round_trip_and_modes(self, tmp_path):
-        store = SqliteStore(tmp_path / "store.sqlite")
+    def test_round_trip_lands_in_the_simplified_row(self, tmp_path):
+        """Artifacts live in the ``simplified = 1`` row, where stores
+        written by earlier versions keep theirs."""
+        path = tmp_path / "store.sqlite"
+        store = SqliteStore(path)
         assert not store.has_artifact("d1")
-        store.put_artifact("d1", {"cnf": [1, 2]}, simplified=True)
-        store.put_artifact("d1", {"cnf": [3]}, simplified=False)
-        assert store.has_artifact("d1", simplified=True)
-        assert store.get_artifact("d1", simplified=True) == {"cnf": [1, 2]}
-        assert store.get_artifact("d1", simplified=False) == {"cnf": [3]}
-        assert store.artifact_hits == 2
+        store.put_artifact("d1", {"cnf": [1, 2]})
+        assert store.has_artifact("d1")
+        assert store.get_artifact("d1") == {"cnf": [1, 2]}
+        assert store.artifact_hits == 1
         assert store.get_artifact("missing") is None
         assert store.artifact_misses == 1
         store.close()
+        with sqlite3.connect(path) as conn:
+            rows = conn.execute(
+                "SELECT digest, simplified, payload FROM artifacts"
+            ).fetchall()
+        assert rows == [("d1", 1, json.dumps({"cnf": [1, 2]}))]
 
     def test_lru_trim_at_put(self, tmp_path):
         store = SqliteStore(tmp_path / "store.sqlite", max_artifacts=2)

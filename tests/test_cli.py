@@ -163,18 +163,9 @@ class TestCompile:
         document = parse_dimacs_document(text)
         assert document.show  # projection exported for external counters
 
-    def test_compile_no_simplify(self, smt_file, capsys):
-        assert main(["compile", str(smt_file), "--no-simplify",
-                     "--quiet"]) == 0
+    def test_compile_quiet_prints_stats_only(self, smt_file, capsys):
+        assert main(["compile", str(smt_file), "--quiet"]) == 0
         output = capsys.readouterr().out
         assert "c compiled" in output
-        assert "c simplify:" not in output
+        assert "c simplify:" in output
         assert "p cnf" not in output  # --quiet suppresses the DIMACS
-
-    def test_count_no_simplify_matches_default(self, smt_file, capsys):
-        assert main(["count", str(smt_file), "--no-cache"]) == 0
-        default = capsys.readouterr().out.splitlines()[0]
-        assert main(["count", str(smt_file), "--no-simplify",
-                     "--no-cache"]) == 0
-        baseline = capsys.readouterr().out.splitlines()[0]
-        assert default == baseline
