@@ -14,10 +14,10 @@ budget):
   parallel count must be bit-identical to the serial one (the hard
   gate), the wall-clock curve is recorded (not gated — component
   structure, not worker count, bounds the available speedup).
-* **shared store** — a cold run populates one on-disk
-  :class:`~repro.count_exact.store.ComponentStore`; a warm run over the
-  same instances must hit it (hit rate recorded and gated > 0) and
-  count identically.
+* **shared store** — a cold run populates one on-disk component store
+  (the ``components`` table of :class:`~repro.serve.store.SqliteStore`);
+  a warm run over the same instances must hit it (hit rate recorded and
+  gated > 0) and count identically.
 
 ``DIST_BENCH_SMOKE=1`` shrinks the instance pool and the worker matrix
 for CI; the bit-identity and store-hit gates always run — only scale is
@@ -28,6 +28,7 @@ Artifacts: ``bench_results/distributed.txt``,
 """
 
 import os
+import sqlite3
 import time
 
 import pytest
@@ -37,7 +38,6 @@ from repro.api import CountRequest, Problem, resolve
 from repro.benchgen.suite import build_suite
 from repro.compile import reset_compile_memo
 from repro.count_exact import count_compiled
-from repro.count_exact.store import ComponentStore
 from repro.engine.pool import ExecutionPool
 from repro.harness.report import format_table
 from repro.status import Status
@@ -151,9 +151,9 @@ def test_shared_store_cold_then_warm(tmp_path_factory):
         _store_hit_rates.append(rate)
         _store_rows.append([instance.name, f"{cold_wall:.3f}",
                             f"{warm_wall:.3f}", hits, f"{rate:.2f}"])
-    store = ComponentStore(store_path)
-    assert len(store) > 0
-    store.close()
+    with sqlite3.connect(store_path) as conn:
+        (rows,) = conn.execute("SELECT COUNT(*) FROM components").fetchone()
+    assert rows > 0
 
 
 def test_distributed_report(results_dir):

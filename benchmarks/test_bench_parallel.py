@@ -15,9 +15,10 @@ import time
 
 from benchmarks.conftest import emit, emit_json
 from repro.benchgen.suite import build_suite
-from repro.engine import ExecutionPool, ResultCache, schedule_matrix
+from repro.engine import ExecutionPool, schedule_matrix
 from repro.harness.presets import Preset
 from repro.harness.report import format_table, matrix_summary
+from repro.serve.store import SqliteStore, database_path
 
 PRESET = Preset.smoke()
 CONFIGURATIONS = ("pact_xor", "pact_shift")
@@ -75,17 +76,18 @@ def test_parallel_matrix_wall_clock(results_dir):
 
 def test_cache_collapses_repeat_run(results_dir, tmp_path):
     instances = _suite()
-    cold_cache = ResultCache(tmp_path)
     start = time.monotonic()
-    cold = schedule_matrix(instances, PRESET,
-                           configurations=CONFIGURATIONS,
-                           cache=cold_cache)
+    with SqliteStore(database_path(tmp_path)) as cold_cache:
+        cold = schedule_matrix(instances, PRESET,
+                               configurations=CONFIGURATIONS,
+                               cache=cold_cache)
     cold_wall = time.monotonic() - start
 
     start = time.monotonic()
-    warm = schedule_matrix(instances, PRESET,
-                           configurations=CONFIGURATIONS,
-                           cache=ResultCache(tmp_path))
+    with SqliteStore(database_path(tmp_path)) as warm_cache:
+        warm = schedule_matrix(instances, PRESET,
+                               configurations=CONFIGURATIONS,
+                               cache=warm_cache)
     warm_wall = time.monotonic() - start
 
     assert warm.cache_hits == len(warm.records)

@@ -76,7 +76,7 @@ def module_of(path) -> str:
     not under a ``repro`` package — no module-scoped rule applies).
 
     The *last* ``repro`` path segment anchors the name, so
-    ``src/repro/engine/cache.py``, an absolute path to it, and a
+    ``src/repro/engine/pool.py``, an absolute path to it, and a
     test's virtual path all normalise identically.
     """
     parts = PurePosixPath(Path(path).as_posix()).parts

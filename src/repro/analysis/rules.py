@@ -59,7 +59,6 @@ __all__ = ["DETERMINISM_MODULES", "GUARDED_GLOBAL_CALLS",
 # process-dependent here silently splits the cache or breaks the
 # bit-identical serial/thread/process invariant.
 DETERMINISM_MODULES = (
-    "repro/engine/cache.py",
     "repro/api/problem.py",
     "repro/count_exact/signature.py",
     "repro/sat/dimacs.py",
@@ -87,8 +86,8 @@ PICKLED_CLASSES = frozenset({"ComponentSpec", "IterationSpec", "Task",
 # read-modify-write that drops updates under the thread backend — the
 # PR 3 CallCounter bug).
 THREAD_SHARED_CLASSES = frozenset({
-    "CallCounter", "ComponentStore", "Counter", "Gauge", "Histogram",
-    "KernelTelemetry", "MetricsRegistry", "ResultCache", "SqliteStore",
+    "CallCounter", "Counter", "Gauge", "Histogram", "KernelTelemetry",
+    "MetricsRegistry", "SqliteStore",
 })
 
 # Module-level calls that mutate process-global state and therefore

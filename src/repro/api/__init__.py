@@ -17,7 +17,7 @@ workload; the CLI and the harness are thin clients of it, and new fronts
   shared :class:`repro.status.Status` enum and structured
   :class:`ProgressEvent` notifications;
 * :class:`Session` (:mod:`repro.api.session`) — the façade owning
-  ExecutionPool + ResultCache lifecycle, with ``count()``,
+  the ExecutionPool and result-store lifecycle, with ``count()``,
   ``count_batch()`` and ``portfolio()``.
 
 Typical use::

@@ -13,10 +13,9 @@ tag — independently of *how* it is counted (that is the
 and it owns the two canonical serialisations every subsystem shares: the
 deterministic SMT-LIB script (:meth:`Problem.to_script`, what crosses
 process boundaries) and the cache fingerprint (:meth:`Problem.fingerprint`,
-what keys the result cache).  ``engine/cache.py`` used to own the
-fingerprint algorithm and therefore had to know which counter parameters
-matter; that knowledge now lives here, next to the problem it identifies,
-and the engine delegates.
+what keys the result cache).  The fingerprint algorithm lives here, next
+to the problem it identifies; the matrix scheduler keys its slots with
+:func:`fingerprint_terms` too.
 """
 
 from __future__ import annotations
@@ -32,9 +31,8 @@ from repro.smt.printer import print_term, write_script
 from repro.smt.terms import Term
 from repro.utils.canonical import canonical_params_json, fingerprint_digest
 
-# The historical prefix of every fingerprint (engine/cache.py's
-# "pact-cache-v1"); keeping it means caches written before the API layer
-# existed still hit.
+# The historical prefix of every fingerprint; keeping it means caches
+# written before the API layer existed still hit.
 FINGERPRINT_SALT = "pact-cache-v1"
 
 

@@ -25,9 +25,10 @@ def result_payload(estimate, status, *, exact: bool = False,
                    time_seconds: float = 0.0, solver_calls: int = 0,
                    counter: str = "", iterations: int = 0,
                    detail: str = "") -> dict:
-    """The one writer of the :class:`repro.engine.cache.ResultCache`
-    entry schema — used by :meth:`CountResponse.to_payload` and the
-    matrix scheduler, so the on-disk format has a single definition.
+    """The one writer of the result-store entry schema (the ``payload``
+    column of :class:`repro.serve.store.SqliteStore`'s ``entries``
+    table) — used by :meth:`CountResponse.to_payload` and the matrix
+    scheduler, so the on-disk format has a single definition.
     The core keys match the pre-API cache format; optional keys are
     omitted when empty (every reader uses ``.get``).
     """
@@ -55,9 +56,9 @@ class CountRequest:
     ``iteration_override`` replaces Algorithm 3's numIt for scaled-down
     runs; ``limit`` caps the ``enum`` counter's enumeration;
     ``component_store`` points ``exact:cc`` at a shared on-disk
-    component cache (:mod:`repro.count_exact.store` — counts are exact
-    either way, but a warmed store changes how much search a budget
-    buys, so it keys the fingerprint).
+    component cache (a database file's ``components`` table — counts
+    are exact either way, but a warmed store changes how much search a
+    budget buys, so it keys the fingerprint).
     """
 
     counter: str = "pact:xor"

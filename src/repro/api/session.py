@@ -2,7 +2,8 @@
 every counting workload.
 
 A :class:`Session` wires a :class:`repro.engine.pool.ExecutionPool` and an
-optional :class:`repro.engine.cache.ResultCache` behind three verbs:
+optional result store (:class:`repro.serve.store.SqliteStore`) behind
+three verbs:
 
 * :meth:`Session.count` — one problem, one counter (iteration fan-out
   when the pool is parallel);
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 from repro.api.problem import Problem
 from repro.api.registry import canonical_name, resolve
 from repro.api.request import CountRequest, CountResponse, ProgressEvent
-from repro.engine.cache import ResultStore
 from repro.engine.fanout import parse_cached, preseed_parse_memo
 from repro.engine.pool import ExecutionPool, Task, TaskResult
 from repro.errors import CounterError, ReproError
@@ -141,29 +141,27 @@ class Session:
 
     ``jobs``/``backend`` configure the execution pool (``jobs=1`` is the
     serial default; ``jobs=0`` means one worker per CPU); ``cache_dir``
-    enables the fingerprint result store — a directory opens the JSON
-    :class:`~repro.engine.cache.ResultCache`, a ``.sqlite``/``.db``
-    path (or ``sqlite:`` prefix) the sqlite
-    :class:`~repro.serve.store.SqliteStore`.  Existing ``pool``/
-    ``cache`` objects can be injected instead (``cache`` accepts any
-    :class:`~repro.engine.cache.ResultStore` — the serving layer
-    injects a shared store here).  ``request`` sets the session's
-    default :class:`CountRequest`, overridable per call.
+    enables the fingerprint result store, a
+    :class:`~repro.serve.store.SqliteStore`: a ``.sqlite``/
+    ``.sqlite3``/``.db`` path is the database file, any other path a
+    directory holding ``pact-cache.sqlite``.  Existing ``pool``/
+    ``cache`` objects can be injected instead.  ``request`` sets the
+    session's default :class:`CountRequest`, overridable per call.
 
     Usable as a context manager; exiting flushes the store.
     """
 
     def __init__(self, jobs: int = 1, backend: str | None = None,
                  cache_dir=None, pool: ExecutionPool | None = None,
-                 cache: ResultStore | None = None,
+                 cache=None,
                  request: CountRequest | None = None):
         self.pool = (pool if pool is not None
                      else ExecutionPool(jobs=jobs, backend=backend))
         if cache is not None:
             self.cache = cache
         elif cache_dir is not None:
-            from repro.serve.store import open_store
-            self.cache = open_store(cache_dir)
+            from repro.serve.store import SqliteStore, database_path
+            self.cache = SqliteStore(database_path(cache_dir))
         else:
             self.cache = None
         self.request = request if request is not None else CountRequest()

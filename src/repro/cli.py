@@ -17,7 +17,7 @@ Subcommands::
     pact serve    [--host H] [--port P] [--workers N] [--queue-depth N]
                   [--watermark N] [--tenant-limit N] [--jobs N]
                   [--backend B] [--cache-dir DIR|FILE.sqlite]
-                  [--store auto|json|sqlite] [--no-cache]
+                  [--store sqlite] [--no-cache]
                   [--default-timeout T] [--drain-timeout T]
     pact run      [--preset smoke|laptop|paper] [--jobs N] [--backend B]
                   [--cache-dir DIR] [--no-cache] [--out DIR]
@@ -36,9 +36,11 @@ No command dispatches counters itself: every counter name (``--family``,
 ``--jobs N`` executes iterations (``count``), racing counters
 (``portfolio``) or matrix slots (``run`` and the experiments) across N
 workers via :mod:`repro.engine`; ``count`` results are bit-identical to
-``--jobs 1``.  ``run`` keeps a fingerprint result cache (default
-``.pact-cache/``) so repeated invocations skip solved slots;
-``--no-cache`` disables it.
+``--jobs 1``.  ``run`` and ``serve`` keep a fingerprint result cache
+(default ``.pact-cache/``) so repeated invocations skip solved slots;
+``--no-cache`` disables it.  A ``--cache-dir`` ending in
+``.sqlite``/``.sqlite3``/``.db`` is the database file; any other path
+is a directory holding ``pact-cache.sqlite``.
 """
 
 from __future__ import annotations
@@ -214,27 +216,6 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _serve_store(args):
-    """The result store for ``pact serve`` (None with ``--no-cache``).
-
-    ``--store sqlite`` inside a directory target places the database at
-    ``DIR/pact-cache.sqlite``; a ``.sqlite``/``.db`` ``--cache-dir``
-    selects sqlite on its own; ``--store json`` forces the JSON cache.
-    """
-    from repro.engine.cache import ResultCache
-    from repro.serve.store import SQLITE_SUFFIXES, open_store
-
-    if args.no_cache:
-        return None
-    target = args.cache_dir or ".pact-cache"
-    if args.store == "json":
-        return ResultCache(target)
-    if (args.store == "sqlite"
-            and not str(target).endswith(SQLITE_SUFFIXES)):
-        target = str(pathlib.Path(target) / "pact-cache.sqlite")
-    return open_store(target)
-
-
 async def _serve_main(session, config) -> int:
     """Run one service until SIGINT/SIGTERM, then drain and summarise."""
     import asyncio
@@ -269,8 +250,7 @@ def _cmd_serve(args) -> int:
 
     from repro.serve import ServeConfig
 
-    session = Session(jobs=args.jobs, backend=args.backend,
-                      cache=_serve_store(args))
+    session = _session(args, default_cache_dir=".pact-cache")
     config = ServeConfig(
         host=args.host, port=args.port, workers=args.workers,
         queue_depth=args.queue_depth, high_watermark=args.watermark,
@@ -397,7 +377,9 @@ def _add_engine_arguments(parser, cache: bool = True) -> None:
                         help="pool backend (default: process when jobs>1)")
     if cache:
         parser.add_argument("--cache-dir", default=None,
-                            help="fingerprint result cache directory")
+                            help="fingerprint result cache: a "
+                                 ".sqlite/.sqlite3/.db file, or a "
+                                 "directory holding pact-cache.sqlite")
         parser.add_argument("--no-cache", action="store_true",
                             help="disable the result cache")
 
@@ -518,10 +500,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--drain-timeout", type=float, default=10.0,
                        help="seconds to finish in-flight work on "
                             "SIGINT/SIGTERM before cancelling it")
-    serve.add_argument("--store", default="auto",
-                       choices=["auto", "json", "sqlite"],
-                       help="result store backend (auto: sqlite when "
-                            "--cache-dir names a .sqlite/.db file)")
+    serve.add_argument("--store", default="sqlite", choices=["sqlite"],
+                       help="result store backend (sqlite, the only "
+                            "one)")
     _add_engine_arguments(serve)
     serve.set_defaults(handler=_cmd_serve)
 

@@ -17,8 +17,8 @@ up without re-running preprocessing or bit-blasting:
   and the compile statistics.
 
 The artifact is immutable and process-local cheap to share; for the
-on-disk artifact store (:meth:`repro.engine.cache.ResultCache`) it
-round-trips through :meth:`to_payload`/:meth:`from_payload` when
+on-disk artifact store (the ``artifacts`` table of
+:class:`repro.serve.store.SqliteStore`) it round-trips through :meth:`to_payload`/:meth:`from_payload` when
 :attr:`persistable` (problems whose theory content was fully eliminated
 into the CNF — the atom table is empty; lazy-LRA problems carry live
 term objects and stay process-local).
@@ -166,7 +166,7 @@ class CompiledProblem:
                             show=show, comments=comments)
 
     # ------------------------------------------------------------------
-    # on-disk round trip (the engine cache's artifact store)
+    # on-disk round trip (the store's artifacts table)
     # ------------------------------------------------------------------
     def to_payload(self) -> dict:
         """A JSON-serialisable image (requires :attr:`persistable`)."""

@@ -17,10 +17,9 @@ from repro.count_exact.counter import (
 from repro.count_exact.signature import (
     component_signature, projection_occurrences,
 )
-from repro.count_exact.store import ComponentStore
 
 __all__ = [
-    "CcStats", "ClosureStats", "ComponentStore", "MAX_CLOSURE_ATOMS",
+    "CcStats", "ClosureStats", "MAX_CLOSURE_ATOMS",
     "cc_count", "component_signature", "count_compiled",
     "count_snapshot", "lra_closure", "projection_occurrences",
 ]

@@ -15,10 +15,10 @@ the compiled clause DB, specialised to *projected* counting:
 * **Component caching** — every component's count is cached under its
   canonical signature (:mod:`repro.count_exact.signature`), so
   structurally repeated subformulas — ubiquitous under comparator and
-  adder circuits — are counted once.  With a
-  :class:`repro.count_exact.store.ComponentStore` attached, the cache
-  is also consulted from and flushed to disk, so the facts survive the
-  process and are shared across worker processes and runs.
+  adder circuits — are counted once.  With a component store attached
+  (the ``components`` table of :class:`repro.serve.store.SqliteStore`),
+  the cache is also consulted from and flushed to disk, so the facts
+  survive the process and are shared across worker processes and runs.
 * **Component parallelism** — under a parallel
   :class:`repro.engine.pool.ExecutionPool`, top-level components (and
   cube-and-conquer splits of components with wide projected support)
@@ -59,7 +59,6 @@ from repro.count_exact.closure import lra_closure
 from repro.count_exact.signature import (
     component_signature, projection_occurrences,
 )
-from repro.count_exact.store import ComponentStore
 from repro.errors import CounterError, SolverTimeoutError
 from repro.sat.kernel import (
     TELEMETRY, Component, ComponentDriver, FALSE_V, TRUE_V, build_driver,
@@ -181,7 +180,7 @@ class _Search:
         # pops every key inserted after a scope's watermark (slicing the
         # tail off the log), so a key appears at most once in the log.
         self._cache_log: list[tuple] = []
-        # Signatures seeded from a ComponentStore: context-free facts
+        # Signatures seeded from the component store: context-free facts
         # established by a previous (or sibling) search, never logged —
         # so never purged and never re-flushed.
         self.seeded: set[tuple] = set()
@@ -354,10 +353,12 @@ def count_snapshot(snapshot, projection, *, deadline: Deadline | None = None,
       dispatches top-level components (cube-split when their projected
       support exceeds ``split_support``) to workers; counts are
       bit-identical to the serial product.
-    * ``component_store`` — path of a shared
-      :class:`~repro.count_exact.store.ComponentStore`: consulted
-      before the search, flushed after a clean completion (only
-      purge-surviving entries — the Sang–Beame–Kautz-clean set).
+    * ``component_store`` — path of a shared database file whose
+      ``components`` table (:class:`~repro.serve.store.SqliteStore`)
+      is consulted before the search and flushed after a clean
+      completion (only purge-surviving entries — the
+      Sang–Beame–Kautz-clean set).  A file that is not a database
+      raises :class:`~repro.errors.ReproError`.
     * ``presolve`` — workers skip the shared-lemma presolve pass; the
       parent already ran it on the full formula.
 
@@ -384,8 +385,11 @@ def count_snapshot(snapshot, projection, *, deadline: Deadline | None = None,
         _ensure_recursion_limit(
             4 * driver.db.num_vars + _RECURSION_HEADROOM)
         if component_store is not None:
-            store = ComponentStore(component_store)
-            search.seed_cache(store.load(projection))
+            # Imported here: repro.serve's package import reaches
+            # repro.api, which imports this module.
+            from repro.serve.store import SqliteStore
+            store = SqliteStore(component_store)
+            search.seed_cache(store.load_components(projection))
         roots = list(snapshot.units)
         presat = snapshot.ok
         if presat and presolve:
@@ -435,7 +439,7 @@ def count_snapshot(snapshot, projection, *, deadline: Deadline | None = None,
         # Flush-on-clean: a completed search's surviving entries are
         # context-free exact counts; anything a zero scope tainted was
         # purged before it could reach the log.
-        store.flush(search.flushable(), projection)
+        store.flush_components(search.flushable(), projection)
         store.close()
     return CountResult(
         estimate=count, status=Status.OK, exact=True,

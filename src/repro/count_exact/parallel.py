@@ -9,7 +9,7 @@ across the :class:`repro.engine.pool.ExecutionPool`:
   the component's residual constraints verbatim (global variable ids,
   no renaming, so worker cache keys equal parent cache keys), the cube
   literals (see below), the projection bits it contains and the shared
-  :class:`~repro.count_exact.store.ComponentStore` path;
+  component store's path (:class:`~repro.serve.store.SqliteStore`);
 * :func:`count_component_task` is the module-level worker the process
   backend can import: it rebuilds a
   :class:`~repro.sat.kernel.ComponentDriver` from the spec and runs the

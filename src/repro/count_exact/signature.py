@@ -29,13 +29,20 @@ The same cache stores projection-free components: their "projected
 count" is their satisfiability (1 or 0) — one non-projection assignment
 either exists or it does not — so SAT subproblem answers and counts
 share one table without ambiguity.
+
+:func:`encode_signature`/:func:`decode_signature` are the text form the
+component rows of :class:`repro.serve.store.SqliteStore` keep, and
+:func:`signature_mask` the projection mask stored beside each one.
 """
 
 from __future__ import annotations
 
+import json
+
 from repro.sat.kernel import ClauseDB, Component
 
-__all__ = ["component_signature", "projection_occurrences"]
+__all__ = ["component_signature", "decode_signature", "encode_signature",
+           "projection_occurrences", "signature_mask"]
 
 
 def component_signature(graph: ClauseDB, values,
@@ -60,3 +67,55 @@ def projection_occurrences(signature: tuple,
             if var in projection:
                 occurrences[var] = occurrences.get(var, 0) + 1
     return occurrences
+
+
+def encode_signature(signature: tuple) -> str:
+    """Canonical JSON text of a residual signature.
+
+    The signature is already a canonically sorted tuple, so a plain
+    order-preserving list encoding is itself canonical: equal
+    signatures encode to equal text.
+    """
+    parts = []
+    for residual in signature:
+        if residual[0] == "c":
+            parts.append(["c", list(residual[1])])
+        else:
+            parts.append(["x", list(residual[1]), 1 if residual[2] else 0])
+    # sort_keys is a no-op on these lists; it keeps the det-json-keys
+    # rule satisfied without changing a byte of the stored text.
+    return json.dumps(parts, separators=(",", ":"), sort_keys=True)
+
+
+def decode_signature(text: str) -> tuple | None:
+    """Invert :func:`encode_signature`; ``None`` on any corruption."""
+    try:
+        parts = json.loads(text)
+        if not isinstance(parts, list):
+            return None
+        signature = []
+        for part in parts:
+            if part[0] == "c":
+                signature.append(("c", tuple(int(lit) for lit in part[1])))
+            elif part[0] == "x":
+                signature.append(("x", tuple(int(var) for var in part[1]),
+                                  bool(part[2])))
+            else:
+                return None
+        return tuple(signature)
+    except (ValueError, TypeError, IndexError, KeyError):
+        return None
+
+
+def signature_mask(signature: tuple, projection: frozenset) -> tuple:
+    """The projection mask ``projection`` induces on ``signature``: the
+    sorted projection variables its residuals mention.  Within one run
+    it is a function of the signature, so only a cross-run store needs
+    to key on it."""
+    variables = set()
+    for residual in signature:
+        if residual[0] == "c":
+            variables.update(abs(lit) for lit in residual[1])
+        else:
+            variables.update(residual[1])
+    return tuple(sorted(var for var in variables if var in projection))

@@ -10,26 +10,19 @@ Everything concurrent lives here, behind three seams:
   median is bit-identical to the serial run;
 * :mod:`repro.engine.scheduler` — the evaluation-matrix scheduler:
   (configuration, instance) slots dispatched across a pool with
-  per-slot budgets, live progress and the fingerprint result cache;
-* :mod:`repro.engine.cache` — the :class:`ResultStore` interface
-  (fingerprint-keyed results + digest-keyed compiled artifacts) and its
-  JSON-on-disk implementation; the sqlite backend lives in
-  :mod:`repro.serve.store`.
+  per-slot budgets, live progress and the fingerprint result cache
+  (the one store, :class:`repro.serve.store.SqliteStore`).
 
 See DESIGN.md ("The engine subsystem") for the determinism contract and
 the cache format.
 """
 
-from repro.engine.cache import (
-    ResultCache, ResultStore, formula_fingerprint, script_fingerprint,
-)
 from repro.engine.fanout import IterationSpec, make_spec, run_iteration
 from repro.engine.pool import BACKENDS, ExecutionPool, Task, TaskResult
 from repro.engine.scheduler import MatrixRun, SlotSpec, schedule_matrix
 
 __all__ = [
     "BACKENDS", "ExecutionPool", "IterationSpec", "MatrixRun",
-    "ResultCache", "ResultStore", "SlotSpec", "Task", "TaskResult",
-    "formula_fingerprint", "make_spec", "run_iteration",
-    "schedule_matrix", "script_fingerprint",
+    "SlotSpec", "Task", "TaskResult", "make_spec", "run_iteration",
+    "schedule_matrix",
 ]

@@ -9,7 +9,9 @@ complete, and reassemble records in the deterministic instance-major
 order the serial harness always produced.
 
 All cache reads and writes happen on the orchestrating side (progress
-callbacks run in the submitting thread), so the cache needs no locking.
+callbacks run in the submitting thread); the cache is a
+:class:`repro.serve.store.SqliteStore`, whose connection stays in the
+orchestrator — process-backend workers never touch it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import time
 from dataclasses import dataclass, field
 
 from repro.benchgen.spec import Instance
-from repro.engine.cache import ResultCache, formula_fingerprint
 from repro.engine.fanout import parse_cached, preseed_parse_memo
 from repro.engine.pool import ExecutionPool, Task, TaskResult
 from repro.harness.presets import Preset
@@ -66,12 +67,13 @@ def slot_fingerprint(instance: Instance, configuration: str,
                      preset: Preset) -> str:
     """Cache key: formula + projection + everything that changes the
     answer or the budget."""
+    from repro.api.problem import fingerprint_terms
     params = {"configuration": configuration, "epsilon": preset.epsilon,
               "delta": preset.delta, "seed": preset.base_seed,
               "timeout": preset.timeout,
               "iterations": preset.iteration_override}
-    return formula_fingerprint(instance.assertions, instance.projection,
-                               params)
+    return fingerprint_terms(instance.assertions, instance.projection,
+                             params)
 
 
 def _run_slot(spec: SlotSpec, budget: float | None = None) -> RunRecord:
@@ -117,10 +119,11 @@ def _cache_payload(record: RunRecord) -> dict:
 def schedule_matrix(instances: list[Instance], preset: Preset,
                     configurations=CONFIGURATIONS,
                     pool: ExecutionPool | None = None,
-                    cache: ResultCache | None = None,
+                    cache=None,
                     progress=None) -> MatrixRun:
     """Dispatch the evaluation matrix and reassemble it deterministically.
 
+    ``cache`` is a :class:`repro.serve.store.SqliteStore` (or None).
     ``progress`` receives each :class:`RunRecord` (cache hits included)
     as it completes.  Cacheable outcomes ("ok" and "timeout" — a slot
     that timed out under this budget will time out again) are persisted

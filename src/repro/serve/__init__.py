@@ -11,10 +11,10 @@ modules:
   in-flight caps, drain mode);
 * :mod:`repro.serve.metrics` — counters / gauges / histograms behind
   ``GET /metrics`` and the shutdown summary;
-* :mod:`repro.serve.store` — the sqlite
-  :class:`~repro.engine.cache.ResultStore` backend (WAL,
-  merge-on-write, safe under multiple processes) and the
-  :func:`~repro.serve.store.open_store` factory;
+* :mod:`repro.serve.store` — :class:`SqliteStore`, the one persistent
+  store: results, compiled artifacts and ``exact:cc`` component counts
+  in one WAL-mode database (merge-on-write, safe under multiple
+  processes);
 * :mod:`repro.serve.server` — :class:`CountingService`: routes,
   worker coroutines, cooperative drain.
 
@@ -31,9 +31,9 @@ Run one with ``pact serve`` (see the CLI) or embed it::
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.queue import AdmissionQueue, AdmissionReject, Job
 from repro.serve.server import CountingService, ServeConfig
-from repro.serve.store import SqliteStore, open_store
+from repro.serve.store import SqliteStore
 
 __all__ = [
     "AdmissionQueue", "AdmissionReject", "CountingService", "Job",
-    "MetricsRegistry", "ServeConfig", "SqliteStore", "open_store",
+    "MetricsRegistry", "ServeConfig", "SqliteStore",
 ]

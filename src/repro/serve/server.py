@@ -32,7 +32,7 @@ request (with ``timeout`` status rather than silence).
 
 Counting happens off the event loop: workers run jobs in threads
 (``asyncio.to_thread``) against one shared :class:`Session` whose
-store (:class:`~repro.engine.cache.ResultStore`) is thread-safe, and
+store (:class:`~repro.serve.store.SqliteStore`) is thread-safe, and
 whose :class:`ExecutionPool` fans counter iterations out when
 parallel.  The event loop only parses, queues and answers.
 """
@@ -63,9 +63,9 @@ __all__ = ["CountingService", "ServeConfig"]
 # Request fields shared by every route and forwarded into CountRequest.
 _REQUEST_FIELDS = ("counter", "epsilon", "delta", "seed",
                    "iteration_override", "limit")
-# Flush the store every this many completed jobs (and at shutdown) —
-# frequent enough that a crash loses little, rare enough that the JSON
-# backend's whole-document rewrite stays off the hot path.
+# Flush the store every this many completed jobs (and at shutdown).
+# Rows are durable at put time; a flush only enforces the store's
+# max_entries bound, so it need not run per job.
 FLUSH_EVERY = 64
 COMPLETED_JOBS_KEPT = 1024
 

@@ -1,52 +1,43 @@
-"""The sqlite-backed :class:`~repro.engine.cache.ResultStore`.
+"""The one persistent store: one WAL-mode sqlite database holding
+fingerprint-keyed results (``entries``, the payloads
+:func:`repro.api.request.result_payload` writes), digest-keyed compiled
+artifacts (``artifacts``) and ``exact:cc``'s component counts
+(``components``).
 
-One database file holds both halves of the store — fingerprint-keyed
-result payloads and digest-keyed compiled artifacts — under the *same
-keys* as the JSON cache (:class:`repro.engine.cache.ResultCache`), so a
-session can switch backends and keep hitting, and the differential
-harness can assert bit-identical :class:`CountResponse` round trips
-from either store.
-
-Why sqlite for the serving layer:
-
-* **Safe under multiple processes.**  WAL journal mode gives
-  single-writer/many-reader concurrency without torn documents; every
-  mutation is its own transaction (merge-on-write — ``INSERT .. ON
-  CONFLICT DO UPDATE`` preserves the first ``saved_at``), so several
-  ``pact serve`` processes (or a CLI run beside a live server) sharing
-  one file never lose rows.  The JSON cache's flush-time merge is a
-  best-effort read-modify-write; here the database does it properly.
-* **No O(n) flush.**  The JSON document is rewritten whole on every
-  flush; sqlite writes only the changed rows, which matters once the
-  store holds a service's worth of results.
-
-``flush`` only enforces the LRU bounds (rows are durable at ``put``
-time); the shared interface semantics — hit/miss/eviction accounting,
-recency refresh only when bounded — match the JSON cache exactly.  A
-single instance is thread-safe (one connection behind a lock; sqlite
-serialises writers across processes via the WAL).
+Every mutation is its own transaction and merges on write (``INSERT ..
+ON CONFLICT DO UPDATE`` keeps the first ``saved_at``), so processes
+sharing one file never lose rows; one instance is thread-safe (one
+connection behind a lock).  The store is an accelerator: a row that is
+not a JSON object reads as a miss.  A file that is not a database is
+never touched — opening it raises :class:`~repro.errors.ReproError`.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sqlite3
 import threading
 import time
 from pathlib import Path
 from typing import Mapping
 
-from repro.engine.cache import (
-    DEFAULT_MAX_ARTIFACTS, ResultCache, ResultStore,
+from repro.count_exact.signature import (
+    decode_signature, encode_signature, signature_mask,
 )
-from repro.utils.sqlite import open_wal
+from repro.errors import ReproError
 
-__all__ = ["SqliteStore", "open_store"]
+__all__ = ["SqliteStore", "database_path", "open_wal"]
 
 SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
+DEFAULT_FILENAME = "pact-cache.sqlite"
+DEFAULT_MAX_ARTIFACTS = 256
+BUSY_TIMEOUT_S = 30.0
 
 # ``artifacts.simplified`` is always 1; it stays in the key so databases
-# written by earlier versions keep hitting.
+# written by earlier versions keep hitting.  Component counts are
+# decimal text: projected counts routinely exceed 2**63, the ceiling of
+# sqlite's INTEGER affinity.
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS entries (
     fingerprint TEXT PRIMARY KEY,
@@ -61,22 +52,94 @@ CREATE TABLE IF NOT EXISTS artifacts (
     used_at    REAL NOT NULL,
     PRIMARY KEY (digest, simplified)
 );
+CREATE TABLE IF NOT EXISTS components (
+    signature  TEXT NOT NULL,
+    projection TEXT NOT NULL,
+    count      TEXT NOT NULL,
+    saved_at   REAL NOT NULL,
+    PRIMARY KEY (signature, projection)
+);
 """
 
 
-class SqliteStore(ResultStore):
-    """Results + artifacts in one WAL-mode sqlite database.
+def database_path(target: str | os.PathLike) -> Path:
+    """The one path rule of result-store targets: a path with a sqlite
+    suffix is the database file, any other a directory holding
+    ``pact-cache.sqlite``."""
+    if str(target).endswith(SQLITE_SUFFIXES):
+        return Path(target)
+    return Path(target) / DEFAULT_FILENAME
 
-    ``max_entries``/``max_artifacts`` carry the JSON cache's LRU
-    semantics (enforced at :meth:`flush` for entries, at
-    :meth:`put_artifact` for artifacts); ``None`` means unbounded.
+
+def open_wal(path: str | os.PathLike) -> sqlite3.Connection:
+    """Create ``path``'s directory, connect (shareable across threads
+    behind the caller's lock), switch to WAL, relax ``synchronous``,
+    set the busy timeout and create the schema.
+
+    When several processes open one fresh file at the same moment,
+    SQLite fails the WAL switch with "database is locked" at once
+    instead of waiting out the busy timeout, so the switch is retried
+    — sleeping 1 ms, doubling up to 50 ms — for up to that timeout.
+    Any other failure (a file that is not a database, an unreadable
+    path) raises :class:`ReproError` naming ``path``.
+    """
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        conn = sqlite3.connect(path, timeout=BUSY_TIMEOUT_S,
+                               check_same_thread=False)
+    except (OSError, sqlite3.Error) as error:
+        raise ReproError(f"cannot open store {path}: {error}") from error
+    try:
+        deadline = time.monotonic() + BUSY_TIMEOUT_S
+        pause = 0.001
+        while True:
+            try:
+                conn.execute("PRAGMA journal_mode=WAL")
+                break
+            except sqlite3.OperationalError as error:
+                if ("locked" not in str(error)
+                        or time.monotonic() >= deadline):
+                    raise
+            time.sleep(pause)
+            pause = min(pause * 2, 0.05)
+        conn.execute("PRAGMA synchronous=NORMAL")
+        conn.execute(f"PRAGMA busy_timeout={int(BUSY_TIMEOUT_S * 1000)}")
+        conn.executescript(_SCHEMA)
+        conn.commit()
+    except sqlite3.Error as error:
+        conn.close()
+        raise ReproError(f"cannot open store {path}: {error}") from error
+    except BaseException:
+        conn.close()
+        raise
+    return conn
+
+
+def _json_object(text: str) -> dict | None:
+    """``text`` decoded, when it is a JSON object; None otherwise."""
+    try:
+        payload = json.loads(text)
+    except ValueError:
+        return None
+    return payload if isinstance(payload, dict) else None
+
+
+class SqliteStore:
+    """Results, artifacts and component counts in one database file.
+
+    ``max_entries`` bounds the results (least-recently-used eviction at
+    :meth:`flush`; recency is refreshed on hits only when bounded, so an
+    all-hit unbounded run stays read-only); ``max_artifacts`` bounds the
+    artifacts (LRU trim at :meth:`put_artifact`).  ``None`` means
+    unbounded.  Results default to unbounded (rows are tiny); artifacts
+    default to :data:`DEFAULT_MAX_ARTIFACTS` since a compile can always
+    re-create them.
     """
 
     def __init__(self, path: str | os.PathLike,
                  max_entries: int | None = None,
                  max_artifacts: int | None = DEFAULT_MAX_ARTIFACTS):
         self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         self.max_entries = max_entries
         self.max_artifacts = max_artifacts
         self.hits = 0
@@ -85,32 +148,27 @@ class SqliteStore(ResultStore):
         self.artifact_hits = 0
         self.artifact_misses = 0
         self.artifact_evictions = 0
+        self.loaded = 0
+        self.flushed = 0
+        self.corrupt = 0
         self._lock = threading.RLock()
-        self._conn = open_wal(self.path, _SCHEMA)
+        self._conn = open_wal(self.path)
 
     # ------------------------------------------------------------------
     # results
     # ------------------------------------------------------------------
     def get(self, fingerprint: str) -> dict | None:
+        """Look up a result payload, counting the hit or miss."""
         with self._lock:
             row = self._conn.execute(
                 "SELECT payload FROM entries WHERE fingerprint = ?",
                 (fingerprint,)).fetchone()
-            if row is None:
-                self.misses += 1
-                return None
-            try:
-                payload = json.loads(row[0])
-            except ValueError:
-                # Corrupt row: a miss, never fatal (same tolerance as
-                # the JSON cache).
+            payload = None if row is None else _json_object(row[0])
+            if payload is None:
                 self.misses += 1
                 return None
             self.hits += 1
             if self.max_entries is not None:
-                # Refresh recency only when bounded — parity with the
-                # JSON cache, where an all-hit unbounded run stays
-                # read-only.
                 self._conn.execute(
                     "UPDATE entries SET used_at = ? WHERE fingerprint = ?",
                     (time.time(), fingerprint))
@@ -118,6 +176,7 @@ class SqliteStore(ResultStore):
             return payload
 
     def put(self, fingerprint: str, payload: Mapping) -> None:
+        """Record a result payload under ``fingerprint``."""
         record = dict(payload)
         now = time.time()
         record.setdefault("saved_at", now)
@@ -159,20 +218,14 @@ class SqliteStore(ResultStore):
     # compiled artifacts
     # ------------------------------------------------------------------
     def get_artifact(self, digest: str) -> dict | None:
+        """Load a compiled-artifact payload (None on miss/corruption)."""
         with self._lock:
             row = self._conn.execute(
                 "SELECT payload FROM artifacts"
                 " WHERE digest = ? AND simplified = 1",
                 (digest,)).fetchone()
-            if row is None:
-                self.artifact_misses += 1
-                return None
-            try:
-                payload = json.loads(row[0])
-            except ValueError:
-                self.artifact_misses += 1
-                return None
-            if not isinstance(payload, dict):
+            payload = None if row is None else _json_object(row[0])
+            if payload is None:
                 self.artifact_misses += 1
                 return None
             self._conn.execute(
@@ -184,6 +237,7 @@ class SqliteStore(ResultStore):
             return payload
 
     def has_artifact(self, digest: str) -> bool:
+        """Existence check without touching hit/miss accounting."""
         with self._lock:
             row = self._conn.execute(
                 "SELECT 1 FROM artifacts"
@@ -192,6 +246,7 @@ class SqliteStore(ResultStore):
             return row is not None
 
     def put_artifact(self, digest: str, payload: Mapping) -> None:
+        """Persist a compiled-artifact payload, then LRU-trim."""
         with self._lock:
             self._conn.execute(
                 "INSERT INTO artifacts (digest, simplified, payload,"
@@ -211,11 +266,87 @@ class SqliteStore(ResultStore):
             self._conn.commit()
 
     # ------------------------------------------------------------------
+    # exact:cc component counts, keyed by (signature, projection mask):
+    # the same residual has different projected counts under different
+    # projection sets.  Whole-table operations — a search touches its
+    # cache far too often for a per-component disk probe.
+    # ------------------------------------------------------------------
+    def load_components(self, projection: frozenset) -> dict[tuple, int]:
+        """Every stored component count usable under ``projection``.
+
+        Rows written under another projection regime are skipped; rows
+        that fail to decode are counted in ``corrupt`` and skipped.
+        """
+        entries: dict[tuple, int] = {}
+        corrupt = 0
+        with self._lock:
+            rows = self._conn.execute(
+                "SELECT signature, projection, count"
+                " FROM components").fetchall()
+        for signature_text, mask_text, count_text in rows:
+            signature = decode_signature(signature_text)
+            if signature is None:
+                corrupt += 1
+                continue
+            try:
+                count = int(count_text)
+                mask = tuple(int(var) for var in json.loads(mask_text))
+            except (ValueError, TypeError):
+                corrupt += 1
+                continue
+            if mask != signature_mask(signature, projection):
+                continue
+            entries[signature] = count
+        with self._lock:
+            self.loaded += len(entries)
+            self.corrupt += corrupt
+        return entries
+
+    def flush_components(self, entries: dict[tuple, int],
+                         projection: frozenset) -> int:
+        """Persist ``entries`` (signature → count) in one transaction.
+
+        A row another process persisted first keeps its ``saved_at``
+        while the count is overwritten (the values are exact, so any
+        overwrite is idempotent).  Returns the number of rows written.
+        """
+        if not entries:
+            return 0
+        now = time.time()
+        rows = [(encode_signature(signature),
+                 json.dumps(list(signature_mask(signature, projection)),
+                            separators=(",", ":")),
+                 str(count), now)
+                for signature, count in entries.items()]
+        with self._lock:
+            self._conn.executemany(
+                "INSERT INTO components (signature, projection, count,"
+                " saved_at) VALUES (?, ?, ?, ?)"
+                " ON CONFLICT(signature, projection) DO UPDATE SET"
+                " count = excluded.count",
+                rows)
+            self._conn.commit()
+            self.flushed += len(rows)
+        return len(rows)
+
+    # ------------------------------------------------------------------
+    # lifecycle
+    # ------------------------------------------------------------------
     def __len__(self) -> int:
+        """The number of result entries (``pact serve``'s
+        ``store_entries`` gauge)."""
         with self._lock:
             (count,) = self._conn.execute(
                 "SELECT COUNT(*) FROM entries").fetchone()
             return count
+
+    @property
+    def stats(self) -> dict:
+        return {"hits": self.hits, "misses": self.misses,
+                "entries": len(self), "evictions": self.evictions,
+                "artifact_hits": self.artifact_hits,
+                "artifact_misses": self.artifact_misses,
+                "artifact_evictions": self.artifact_evictions}
 
     def close(self) -> None:
         with self._lock:
@@ -223,23 +354,12 @@ class SqliteStore(ResultStore):
             self._conn.commit()
             self._conn.close()
 
+    def __enter__(self) -> "SqliteStore":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     def __repr__(self) -> str:
         return (f"SqliteStore({self.path}, entries={len(self)}, "
                 f"hits={self.hits}, misses={self.misses})")
-
-
-def open_store(target: str | os.PathLike, **bounds) -> ResultStore:
-    """Open the right :class:`ResultStore` for ``target``.
-
-    A path ending in ``.sqlite``/``.sqlite3``/``.db`` (or prefixed
-    ``sqlite:``) opens a :class:`SqliteStore`; anything else is a cache
-    *directory* for the JSON :class:`ResultCache` — exactly the
-    ``--cache-dir`` contract the CLI always had, extended rather than
-    changed.
-    """
-    text = str(target)
-    if text.startswith("sqlite:"):
-        return SqliteStore(text[len("sqlite:"):], **bounds)
-    if text.endswith(SQLITE_SUFFIXES):
-        return SqliteStore(text, **bounds)
-    return ResultCache(target, **bounds)

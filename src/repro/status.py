@@ -2,7 +2,7 @@
 
 Before :class:`Status` existed, ``"ok"``/``"timeout"``/``"error"`` string
 literals were scattered across ``core/result.py``, ``engine/pool.py``,
-``engine/cache.py`` and ``harness/runner.py``.  The enum is
+the result cache and ``harness/runner.py``.  The enum is
 **string-valued** so every old surface keeps working:
 
 * ``Status.OK == "ok"`` is true (comparisons against legacy literals);

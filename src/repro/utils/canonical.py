@@ -1,10 +1,7 @@
-"""Canonical serialisation helpers shared by every fingerprint site.
-
-``fingerprint_terms`` (api/problem.py) and ``script_fingerprint``
-(engine/cache.py) used to build the same params-JSON piece and the same
-sha256-over-joined-pieces digest independently; this module is the one
-blessed call site, so the determinism rules (``det-json-keys`` and
-friends, :mod:`repro.analysis`) police a single implementation.
+"""Canonical serialisation helpers of the fingerprint
+(``fingerprint_terms``, api/problem.py): the params-JSON piece and the
+sha256-over-joined-pieces digest, in one module the determinism rules
+(``det-json-keys`` and friends, :mod:`repro.analysis`) police.
 
 Everything here must stay byte-identical across runs, processes and
 machines — these bytes *are* the cache keys.

@@ -26,10 +26,10 @@ def lint(source: str, path: str, rule: str | None = None):
 
 
 def test_module_of_normalises_real_absolute_and_virtual_paths():
-    for path in ("src/repro/engine/cache.py",
-                 "/root/repo/src/repro/engine/cache.py",
-                 "repro/engine/cache.py"):
-        assert module_of(path) == "repro/engine/cache.py"
+    for path in ("src/repro/engine/pool.py",
+                 "/srv/checkout/src/repro/engine/pool.py",
+                 "repro/engine/pool.py"):
+        assert module_of(path) == "repro/engine/pool.py"
     assert module_of("scripts/tool.py") == ""
 
 
@@ -241,11 +241,12 @@ def test_lock_discipline_ignores_unpoliced_classes():
 
 
 def test_lock_discipline_polices_component_store():
+    """The component counters live on the one store class now."""
     findings = lint("""\
-        class ComponentStore:
-            def flush(self, entries):
+        class SqliteStore:
+            def flush_components(self, entries, projection):
                 self.flushed += len(entries)
-        """, "src/repro/count_exact/store.py", "lock-discipline")
+        """, "src/repro/serve/store.py", "lock-discipline")
     assert [(f.rule, f.line) for f in findings] == \
         [("lock-discipline", 3)]
 

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.api import CountRequest, Problem
+from repro.api import CountRequest, Problem, fingerprint_terms
 from repro.benchgen.generators import qf_bvfp
-from repro.engine.cache import formula_fingerprint
 from repro.errors import CounterError, ReproError
 from repro.smt.parser import parse_script
 from repro.smt.terms import bv_ult, bv_val, bv_var
@@ -109,12 +108,13 @@ class TestSerialisation:
 
 class TestFingerprint:
     def test_matches_engine_fingerprint(self):
-        """The engine delegates here; old cache keys must be unchanged."""
+        """The matrix scheduler keys slots with ``fingerprint_terms``;
+        a problem's fingerprint is the same key."""
         assertions, projection = _terms("pb_fp")
         problem = Problem.from_terms(assertions, projection)
         params = {"configuration": "pact_xor", "epsilon": 0.8}
         assert (problem.fingerprint(params)
-                == formula_fingerprint(assertions, projection, params))
+                == fingerprint_terms(assertions, projection, params))
 
     def test_sensitive_to_formula_and_params(self):
         a1, p1 = _terms("pb_s1")
@@ -126,9 +126,9 @@ class TestFingerprint:
                 != problem.fingerprint({"seed": 2}))
 
     def test_default_cache_keys_are_frozen(self):
-        """Golden keys: every persisted ``ResultCache``/``SqliteStore``
-        entry was written under these, so a default request must keep
-        producing them byte for byte."""
+        """Golden keys: every persisted result-store entry was written
+        under these, so a default request must keep producing them byte
+        for byte."""
         params = CountRequest().cache_params("pact:xor")
         assert params == {"counter": "pact:xor", "epsilon": 0.8,
                           "delta": 0.2, "seed": 1, "timeout": None,

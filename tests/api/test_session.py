@@ -1,11 +1,12 @@
 """Session: the three verbs, cache observation, backend determinism."""
 
 import json
+import sqlite3
 
 import pytest
 
 from repro.api import CountRequest, Problem, Session
-from repro.engine.cache import ResultCache
+from repro.serve.store import SqliteStore
 from repro.smt.terms import bv_ult, bv_val, bv_var
 from repro.status import Status
 
@@ -22,6 +23,12 @@ def _request(**overrides):
     defaults = dict(counter="pact:xor", seed=SEED, iteration_override=3)
     defaults.update(overrides)
     return CountRequest(**defaults)
+
+
+def _rows(directory, sql, parameters=()):
+    """Run ``sql`` on the store ``Session(cache_dir=directory)`` opens."""
+    with sqlite3.connect(directory / "pact-cache.sqlite") as connection:
+        return connection.execute(sql, parameters).fetchall()
 
 
 class TestCount:
@@ -101,12 +108,11 @@ class TestCache:
         request = _request()
         fingerprint = problem.fingerprint(
             request.cache_params("pact:xor"))
-        (tmp_path / "pact-cache.json").write_text(json.dumps({
-            "version": 1,
-            "entries": {fingerprint: {
-                "estimate": 137, "status": "ok",
-                "time_seconds": 1.5, "solver_calls": 12}},
-        }))
+        SqliteStore(tmp_path / "pact-cache.sqlite").close()
+        _rows(tmp_path, "INSERT INTO entries VALUES (?, ?, 1.0, 1.0)",
+              (fingerprint, json.dumps({
+                  "estimate": 137, "status": "ok",
+                  "time_seconds": 1.5, "solver_calls": 12})))
         response = Session(cache_dir=tmp_path).count(problem, request)
         assert response.cached
         assert response.estimate == 137
@@ -116,10 +122,8 @@ class TestCache:
         """New entries keep the old on-disk vocabulary."""
         with Session(cache_dir=tmp_path) as session:
             session.count(_problem("ss_disk"), _request())
-        document = json.loads(
-            (ResultCache(tmp_path).path).read_text())
-        statuses = [entry["status"]
-                    for entry in document["entries"].values()]
+        statuses = [json.loads(payload)["status"] for (payload,)
+                    in _rows(tmp_path, "SELECT payload FROM entries")]
         assert statuses == ["ok"]
 
 
@@ -211,7 +215,9 @@ class TestArtifactStore:
                 first = session.count(problem, CountRequest(
                     counter="pact:xor", seed=5, iteration_override=2))
             assert first.solved
-            assert list((tmp_path / "artifacts").glob("*-s1.json"))
+            assert _rows(tmp_path, "SELECT digest FROM artifacts"
+                                   " WHERE simplified = 1") == [
+                (problem.compile_key,)]
             assert compile_counters()["builds"] == 1
 
             # A "cold process": memo wiped, result cache missed (new
@@ -237,8 +243,7 @@ class TestArtifactStore:
                 assert session.count(problem, CountRequest(
                     counter="pact:xor", seed=5,
                     iteration_override=2)).solved
-            for path in (tmp_path / "artifacts").glob("*.json"):
-                path.write_text("{broken")
+            _rows(tmp_path, "UPDATE artifacts SET payload = '{broken'")
             reset_compile_memo()
             with Session(cache_dir=tmp_path) as session:
                 response = session.count(problem, CountRequest(
@@ -251,8 +256,8 @@ class TestArtifactStore:
             self, tmp_path):
         """The serving layer's worker threads call ``count`` on one
         shared session concurrently: ``_preload_artifact`` /
-        ``_persist_artifact`` must stay race-free (atomic artifact
-        writes, locked store) and every response must be correct."""
+        ``_persist_artifact`` must stay race-free (one locked store
+        connection) and every response must be correct."""
         from concurrent.futures import ThreadPoolExecutor
 
         from repro.compile import reset_compile_memo
@@ -278,11 +283,11 @@ class TestArtifactStore:
         assert all(response.solved for response in responses)
         for response in responses:
             assert response.estimate == baseline[response.problem]
-        # Every artifact on disk round-trips as valid JSON (no torn
+        # Every stored artifact round-trips as a JSON object (no torn
         # concurrent writes) under its problem's digest.
-        artifacts = list((tmp_path / "artifacts").glob("*.json"))
+        artifacts = _rows(tmp_path, "SELECT digest, payload FROM artifacts")
         assert artifacts
-        digests = {path.name.split("-")[0] for path in artifacts}
+        digests = {digest for digest, _ in artifacts}
         assert digests <= {problem.compile_key for problem in problems}
-        for path in artifacts:
-            assert isinstance(json.loads(path.read_text()), dict)
+        for _, payload in artifacts:
+            assert isinstance(json.loads(payload), dict)

@@ -1,10 +1,14 @@
-"""Fingerprints and the JSON-on-disk result cache."""
+"""The matrix scheduler's result cache: its key (``fingerprint_terms``,
+what ``slot_fingerprint`` hashes) and the one store at a directory
+target — ``DIR/pact-cache.sqlite``, what ``pact run`` opens by default.
+"""
 
 import json
+import sqlite3
+import threading
 
-from repro.engine.cache import (
-    ResultCache, formula_fingerprint, script_fingerprint,
-)
+from repro.api.problem import fingerprint_terms
+from repro.serve.store import SqliteStore, database_path
 from repro.smt.terms import bv_ult, bv_val, bv_var
 
 
@@ -13,39 +17,39 @@ def _formula(width=8, bound=100, name="cf_x"):
     return [bv_ult(x, bv_val(bound, width))], [x]
 
 
+def _store(directory, **bounds):
+    return SqliteStore(database_path(directory), **bounds)
+
+
 class TestFingerprint:
     def test_deterministic(self):
         assertions, projection = _formula()
         params = {"family": "xor", "epsilon": 0.8}
-        assert (formula_fingerprint(assertions, projection, params)
-                == formula_fingerprint(assertions, projection, params))
+        assert (fingerprint_terms(assertions, projection, params)
+                == fingerprint_terms(assertions, projection, params))
 
     def test_sensitive_to_formula(self):
         a1, p1 = _formula(bound=100)
         a2, p2 = _formula(bound=101)
-        assert (formula_fingerprint(a1, p1)
-                != formula_fingerprint(a2, p2))
+        assert fingerprint_terms(a1, p1) != fingerprint_terms(a2, p2)
 
     def test_sensitive_to_projection_sort(self):
         assertions, _ = _formula()
-        assert (formula_fingerprint(assertions, [bv_var("cf_p", 8)])
-                != formula_fingerprint(assertions, [bv_var("cf_p", 9)]))
+        assert (fingerprint_terms(assertions, [bv_var("cf_p", 8)])
+                != fingerprint_terms(assertions, [bv_var("cf_p", 9)]))
 
     def test_sensitive_to_params(self):
         assertions, projection = _formula()
-        assert (formula_fingerprint(assertions, projection,
-                                    {"family": "xor"})
-                != formula_fingerprint(assertions, projection,
-                                       {"family": "prime"}))
-
-    def test_script_fingerprint_params(self):
-        assert (script_fingerprint("(assert true)", {"seed": 1})
-                != script_fingerprint("(assert true)", {"seed": 2}))
+        assert (fingerprint_terms(assertions, projection,
+                                  {"family": "xor"})
+                != fingerprint_terms(assertions, projection,
+                                     {"family": "prime"}))
 
 
 class TestResultCache:
     def test_miss_then_hit(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = _store(tmp_path)
+        assert cache.path == tmp_path / "pact-cache.sqlite"
         assert cache.get("fp1") is None
         cache.put("fp1", {"estimate": 42, "status": "ok"})
         entry = cache.get("fp1")
@@ -54,40 +58,56 @@ class TestResultCache:
                                "evictions": 0, "artifact_hits": 0,
                                "artifact_misses": 0,
                                "artifact_evictions": 0}
+        cache.close()
 
     def test_round_trips_through_disk(self, tmp_path):
-        first = ResultCache(tmp_path)
+        first = _store(tmp_path)
         first.put("fp1", {"estimate": 7, "status": "ok"})
-        first.flush()
-        second = ResultCache(tmp_path)
+        first.close()
+        second = _store(tmp_path)
         assert second.get("fp1")["estimate"] == 7
         assert second.path.exists()
+        second.close()
 
     def test_flush_without_changes_writes_nothing(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        """Rows are durable at put time: an unbounded flush issues no
+        write, so an all-hit run leaves the database untouched."""
+        cache = _store(tmp_path)
+        cache.put("fp1", {"estimate": 1, "status": "ok"})
+        assert cache.get("fp1") is not None
+        writes = cache._conn.total_changes
         cache.flush()
-        assert not cache.path.exists()
+        assert cache._conn.total_changes == writes
+        cache.close()
 
     def test_corrupt_file_treated_as_empty(self, tmp_path):
-        path = tmp_path / "pact-cache.json"
-        path.write_text("{not json!!")
-        cache = ResultCache(tmp_path)
+        """A (torn) ``pact-cache.json`` left by an earlier version is
+        never read: the directory's store starts empty, and the file is
+        left as it was."""
+        legacy = tmp_path / "pact-cache.json"
+        legacy.write_text("{not json!!")
+        cache = _store(tmp_path)
         assert cache.get("fp1") is None
         cache.put("fp1", {"estimate": 1, "status": "ok"})
-        cache.flush()
-        assert ResultCache(tmp_path).get("fp1")["estimate"] == 1
+        cache.close()
+        assert _store(tmp_path).get("fp1")["estimate"] == 1
+        assert legacy.read_text() == "{not json!!"
 
     def test_context_manager_flushes(self, tmp_path):
-        with ResultCache(tmp_path) as cache:
+        with _store(tmp_path, max_entries=1) as cache:
+            cache.put("fp1", {"estimate": 8, "status": "ok"})
             cache.put("fp2", {"estimate": 9, "status": "ok"})
-        assert ResultCache(tmp_path).get("fp2")["estimate"] == 9
+        with _store(tmp_path) as reopened:
+            assert len(reopened) == 1
+            assert reopened.get("fp2")["estimate"] == 9
 
 
 class TestLruBound:
     def test_bound_enforced_at_flush(self, tmp_path):
-        cache = ResultCache(tmp_path, max_entries=3)
+        cache = _store(tmp_path, max_entries=3)
         for index in range(6):
             cache.put(f"fp{index}", {"estimate": index, "status": "ok"})
+        assert len(cache) == 6
         cache.flush()
         assert len(cache) == 3
         assert cache.evictions == 3
@@ -95,9 +115,10 @@ class TestLruBound:
         # the most recent entries survive
         assert cache.get("fp5") is not None
         assert cache.get("fp0") is None
+        cache.close()
 
     def test_eviction_is_least_recently_used(self, tmp_path):
-        cache = ResultCache(tmp_path, max_entries=2)
+        cache = _store(tmp_path, max_entries=2)
         cache.put("old", {"estimate": 1, "status": "ok"})
         cache.put("mid", {"estimate": 2, "status": "ok"})
         cache.put("new", {"estimate": 3, "status": "ok"})
@@ -106,191 +127,110 @@ class TestLruBound:
         assert cache.get("mid") is None  # mid was the LRU entry
         assert cache.get("old") is not None
         assert cache.get("new") is not None
+        cache.close()
 
     def test_recency_survives_reload(self, tmp_path):
-        first = ResultCache(tmp_path, max_entries=10)
+        first = _store(tmp_path, max_entries=10)
         first.put("a", {"estimate": 1, "status": "ok"})
         first.put("b", {"estimate": 2, "status": "ok"})
-        first.get("a")
-        first.flush()
-        second = ResultCache(tmp_path, max_entries=1)
+        first.get("a")     # a is now more recent than b
+        first.close()
+        second = _store(tmp_path, max_entries=2)
         second.put("c", {"estimate": 3, "status": "ok"})
         second.flush()
-        assert len(second) == 1
-        assert second.get("c") is not None
+        assert len(second) == 2
+        assert second.get("b") is None
+        assert second.get("a") is not None
+        second.close()
 
     def test_unbounded_by_default(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = _store(tmp_path)
         for index in range(50):
             cache.put(f"fp{index}", {"estimate": index, "status": "ok"})
         cache.flush()
         assert len(cache) == 50
         assert cache.evictions == 0
+        cache.close()
 
 
 class TestCorruptTolerance:
-    def test_corrupt_file_reads_as_empty(self, tmp_path):
-        (tmp_path / "pact-cache.json").write_text("{not json")
-        cache = ResultCache(tmp_path)
-        assert cache.get("fp") is None
-        cache.put("fp", {"estimate": 1, "status": "ok"})
-        cache.flush()
-        assert ResultCache(tmp_path).get("fp") is not None
-
     def test_corrupt_entry_dropped_not_fatal(self, tmp_path):
-        (tmp_path / "pact-cache.json").write_text(json.dumps({
-            "version": 1,
-            "entries": {"good": {"estimate": 5, "status": "ok"},
-                        "bad": "not-a-mapping",
-                        "worse": 17},
-        }))
-        cache = ResultCache(tmp_path)
+        cache = _store(tmp_path)
+        cache.put("good", {"estimate": 5, "status": "ok"})
+        with sqlite3.connect(cache.path) as conn:
+            conn.executemany(
+                "INSERT INTO entries VALUES (?, ?, 1.0, 1.0)",
+                [("bad", json.dumps("not-a-mapping")),
+                 ("worse", "17")])
         assert cache.get("good")["estimate"] == 5
         assert cache.get("bad") is None
         assert cache.get("worse") is None
+        assert (cache.hits, cache.misses) == (1, 2)
+        cache.close()
 
 
 class TestArtifactStore:
     def test_round_trip(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = _store(tmp_path)
         assert cache.get_artifact("d1") is None
         cache.put_artifact("d1", {"version": 1, "digest": "d1"})
         assert cache.get_artifact("d1")["digest"] == "d1"
         assert cache.stats["artifact_hits"] == 1
         assert cache.stats["artifact_misses"] == 1
-
-    def test_artifact_file_keeps_the_s1_name(self, tmp_path):
-        """``<digest>-s1.json`` is where caches written by earlier
-        versions keep their artifacts."""
-        cache = ResultCache(tmp_path)
-        cache.put_artifact("d1", {"digest": "d1"})
-        assert [path.name for path in cache.artifact_dir.iterdir()] == [
-            "d1-s1.json"]
-        (cache.artifact_dir / "d2-s1.json").write_text(
-            json.dumps({"digest": "d2"}))
-        assert cache.has_artifact("d2")
-        assert cache.get_artifact("d2") == {"digest": "d2"}
+        cache.close()
 
     def test_corrupt_artifact_reads_as_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.artifact_dir.mkdir(parents=True)
-        (cache.artifact_dir / "bad-s1.json").write_text("{broken")
+        cache = _store(tmp_path)
+        with sqlite3.connect(cache.path) as conn:
+            conn.executemany(
+                "INSERT INTO artifacts VALUES (?, 1, ?, 1.0)",
+                [("bad", "{broken"), ("list", "[1, 2]")])
         assert cache.get_artifact("bad") is None
+        assert cache.get_artifact("list") is None
+        assert cache.artifact_misses == 2
+        cache.close()
 
     def test_lru_trim(self, tmp_path):
-        import os
-        cache = ResultCache(tmp_path, max_artifacts=2)
-        for index, digest in enumerate(("a", "b", "c")):
-            cache.put_artifact(digest, {"index": index})
-            path = cache._artifact_path(digest)
-            os.utime(path, (index, index))  # deterministic mtimes
-        cache.put_artifact("d", {"index": 3})
-        names = sorted(p.name for p in cache.artifact_dir.glob("*.json"))
-        assert len(names) == 2
-        assert cache.artifact_evictions >= 2
+        cache = _store(tmp_path, max_artifacts=2)
+        for digest in ("a", "b", "c"):
+            cache.put_artifact(digest, {"digest": digest})
+        assert cache.get_artifact("a") is None   # trimmed at c's put
+        cache.put_artifact("d", {"digest": "d"})
+        assert not cache.has_artifact("b")
+        assert cache.has_artifact("c") and cache.has_artifact("d")
+        assert cache.artifact_evictions == 2
         assert cache.evictions == 0  # result-row evictions stay separate
-
-
-class TestAtomicWrites:
-    """Satellite hardening: temp + fsync + os.replace means a crash (or
-    a concurrent reader) can never observe a torn document."""
-
-    def test_crashed_flush_leaves_previous_document_intact(
-            self, tmp_path, monkeypatch):
-        cache = ResultCache(tmp_path)
-        cache.put("fp-first", {"estimate": 1, "status": "ok"})
-        cache.flush()
-        before = (tmp_path / "pact-cache.json").read_text()
-
-        import os as os_module
-        def crash(src, dst):
-            raise OSError("simulated crash mid-rename")
-        monkeypatch.setattr(os_module, "replace", crash)
-        cache.put("fp-second", {"estimate": 2, "status": "ok"})
-        try:
-            cache.flush()
-        except OSError:
-            pass
-        monkeypatch.undo()
-
-        # The on-disk document is byte-identical to the last good flush
-        # and still parses; no temp litter with the target's name.
-        assert (tmp_path / "pact-cache.json").read_text() == before
-        survivor = ResultCache(tmp_path)
-        assert survivor.get("fp-first") is not None
-        assert survivor.get("fp-second") is None
-        # A later flush (the "process restarted" path) persists it all.
-        cache.flush()
-        recovered = ResultCache(tmp_path)
-        assert recovered.get("fp-second") is not None
-
-    def test_crashed_artifact_write_leaves_no_torn_file(
-            self, tmp_path, monkeypatch):
-        cache = ResultCache(tmp_path)
-        cache.put_artifact("d1", {"cnf": [1]})
-        good = cache._artifact_path("d1").read_text()
-
-        import os as os_module
-        def crash(src, dst):
-            raise OSError("simulated crash mid-rename")
-        monkeypatch.setattr(os_module, "replace", crash)
-        try:
-            cache.put_artifact("d1", {"cnf": [1, 2, 3]})
-        except OSError:
-            pass
-        monkeypatch.undo()
-        assert cache._artifact_path("d1").read_text() == good
-        assert cache.get_artifact("d1") == {"cnf": [1]}
-
-    def test_no_temp_files_survive_a_clean_flush(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        for n in range(5):
-            cache.put(f"fp{n}", {"estimate": n, "status": "ok"})
-            cache.flush()
-        assert list(tmp_path.glob(".*.tmp")) == []
-
-    def test_stale_temp_from_a_dead_writer_is_swept(self, tmp_path):
-        import os as os_module
-        stale = tmp_path / ".cache-dead123.tmp"
-        fresh = tmp_path / ".cache-live456.tmp"
-        stale.write_text("{")
-        fresh.write_text("{")
-        old = 1_000_000.0  # well past STALE_TEMP_SECONDS
-        os_module.utime(stale, (old, old))
-        cache = ResultCache(tmp_path)
-        cache.put("fp", {"estimate": 1, "status": "ok"})
-        cache.flush()
-        assert not stale.exists()      # dead writer's litter removed
-        assert fresh.exists()          # a live writer may still own it
+        cache.close()
 
 
 class TestMergeOnWrite:
     def test_two_caches_flushing_one_directory_lose_nothing(
             self, tmp_path):
-        first = ResultCache(tmp_path)
-        second = ResultCache(tmp_path)
+        first = _store(tmp_path)
+        second = _store(tmp_path)
         first.put("fp-a", {"estimate": 1, "status": "ok"})
         second.put("fp-b", {"estimate": 2, "status": "ok"})
-        first.flush()
-        second.flush()   # must fold in fp-a, not clobber it
-        merged = ResultCache(tmp_path)
+        first.close()
+        second.close()
+        merged = _store(tmp_path)
         assert merged.get("fp-a")["estimate"] == 1
         assert merged.get("fp-b")["estimate"] == 2
+        merged.close()
 
     def test_conflicting_fingerprint_local_row_wins(self, tmp_path):
-        first = ResultCache(tmp_path)
-        second = ResultCache(tmp_path)
+        first = _store(tmp_path)
+        second = _store(tmp_path)
         first.put("fp", {"estimate": 1, "status": "ok"})
         second.put("fp", {"estimate": 2, "status": "ok"})
-        first.flush()
-        second.flush()
-        assert ResultCache(tmp_path).get("fp")["estimate"] == 2
+        first.close()
+        second.close()
+        with _store(tmp_path) as merged:
+            assert merged.get("fp")["estimate"] == 2
 
     def test_threaded_put_flush_on_one_instance(self, tmp_path):
         """The serving layer's workers share one store instance; puts
         and flushes from many threads must not lose rows or crash."""
-        import threading
-        cache = ResultCache(tmp_path)
+        cache = _store(tmp_path)
         errors = []
 
         def hammer(base):
@@ -309,7 +249,7 @@ class TestMergeOnWrite:
             thread.start()
         for thread in threads:
             thread.join()
-        cache.flush()
+        cache.close()
         assert not errors
-        reread = ResultCache(tmp_path)
-        assert len(reread) == 160
+        with _store(tmp_path) as reread:
+            assert len(reread) == 160

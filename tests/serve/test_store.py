@@ -1,14 +1,15 @@
-"""SqliteStore: the ResultStore contract, multi-process safety, and the
-differential harness against the JSON cache — same keys, same payloads,
-same CountResponse from either backend."""
+"""SqliteStore: the result-store contract, the path rule, multi-process
+safety, databases written by earlier versions, and round trips checked
+against the in-memory payloads and responses they stored."""
 
 import json
 import sqlite3
 import threading
 
+import pytest
+
 from repro.api import CountRequest, Problem, Session
-from repro.engine.cache import ResultCache, ResultStore
-from repro.serve.store import SqliteStore, open_store
+from repro.serve.store import SqliteStore, database_path
 from repro.smt.terms import bv_ult, bv_val, bv_var
 
 PAYLOAD = {"estimate": 20, "status": "ok", "exact": False,
@@ -89,16 +90,38 @@ class TestResultStoreContract:
         store.close()
 
     def test_corrupt_row_reads_as_miss(self, tmp_path):
+        """A payload that is not a JSON object — torn text, or valid
+        JSON of another type — is a miss, never a hit."""
         path = tmp_path / "store.sqlite"
         store = SqliteStore(path)
-        connection = sqlite3.connect(path)
-        connection.execute(
-            "INSERT INTO entries VALUES ('bad', '{torn', 1.0, 1.0)")
-        connection.commit()
-        connection.close()
-        assert store.get("bad") is None
-        assert store.misses == 1
+        payloads = ["{torn", "null", "[1, 2]", "17"]
+        with sqlite3.connect(path) as connection:
+            connection.executemany(
+                "INSERT INTO entries VALUES (?, ?, 1.0, 1.0)",
+                [(f"bad{n}", text) for n, text in enumerate(payloads)])
+        for n in range(len(payloads)):
+            assert store.get(f"bad{n}") is None
+        assert (store.hits, store.misses) == (0, len(payloads))
         store.close()
+
+    @pytest.mark.parametrize("text", ["null", "[1, 2]", "17"])
+    def test_count_through_a_non_object_row_solves_and_overwrites(
+            self, tmp_path, text):
+        problem = _problem("store_nonobj")
+        request = _request()
+        key = problem.fingerprint(request.cache_params("pact:xor"))
+        reference = Session().count(problem, request)
+        path = tmp_path / "store.sqlite"
+        SqliteStore(path).close()
+        with sqlite3.connect(path) as connection:
+            connection.execute(
+                "INSERT INTO entries VALUES (?, ?, 1.0, 1.0)", (key, text))
+        with Session(cache_dir=path) as session:
+            response = session.count(problem, request)
+            assert not response.cached
+            assert response.estimate == reference.estimate
+            assert (session.cache.hits, session.cache.misses) == (0, 1)
+            assert session.cache.get(key)["estimate"] == reference.estimate
 
     def test_context_manager_closes(self, tmp_path):
         with SqliteStore(tmp_path / "store.sqlite") as store:
@@ -141,19 +164,19 @@ class TestArtifacts:
 class TestOpenStore:
     def test_sqlite_suffixes_open_sqlite(self, tmp_path):
         for name in ("a.sqlite", "b.sqlite3", "c.db"):
-            store = open_store(tmp_path / name)
-            assert isinstance(store, SqliteStore)
-            store.close()
+            assert database_path(tmp_path / name) == tmp_path / name
+            session = Session(cache_dir=tmp_path / name)
+            assert session.cache.path == tmp_path / name
+            assert (tmp_path / name).is_file()
+            session.cache.close()
 
-    def test_sqlite_prefix_opens_sqlite(self, tmp_path):
-        store = open_store(f"sqlite:{tmp_path / 'plain-name'}")
-        assert isinstance(store, SqliteStore)
-        store.close()
-
-    def test_directory_opens_json_cache(self, tmp_path):
-        store = open_store(tmp_path / "cachedir")
-        assert isinstance(store, ResultCache)
-        assert isinstance(store, ResultStore)
+    def test_directory_opens_pact_cache_sqlite(self, tmp_path):
+        for name in ("cachedir", "x.json"):
+            session = Session(cache_dir=str(tmp_path / name))
+            expected = tmp_path / name / "pact-cache.sqlite"
+            assert session.cache.path == expected
+            assert expected.is_file()
+            session.cache.close()
 
 
 class TestConcurrency:
@@ -196,65 +219,91 @@ class TestConcurrency:
 
 
 class TestDifferential:
-    """The ISSUE's acceptance bar: the sqlite store round-trips the same
-    fingerprint/artifact keys as the JSON cache — a session can switch
-    backends and serve the identical CountResponse."""
+    """Round trips against their reference: the in-memory payload or
+    :class:`CountResponse` that was stored."""
 
     def test_payload_round_trip_is_identical(self, tmp_path):
-        json_store = ResultCache(tmp_path / "jsoncache")
-        sqlite_store = SqliteStore(tmp_path / "store.sqlite")
-        json_store.put("fp1", dict(PAYLOAD))
-        sqlite_store.put("fp1", dict(PAYLOAD))
-        from_json = json_store.get("fp1")
-        from_sqlite = sqlite_store.get("fp1")
-        from_json.pop("used_at")      # recency stamps are wall-clock
-        from_sqlite.pop("used_at")
-        assert from_json == from_sqlite
-        json_store.flush()
-        sqlite_store.close()
+        with SqliteStore(tmp_path / "store.sqlite") as store:
+            store.put("fp1", dict(PAYLOAD))
+            stored = store.get("fp1")
+        assert stored.pop("used_at") >= PAYLOAD["saved_at"]
+        assert stored == PAYLOAD
 
     def test_artifact_round_trip_is_identical(self, tmp_path):
         payload = {"digest": "d1", "cnf": [[1, -2], [2]], "vars": 2}
-        json_store = ResultCache(tmp_path / "jsoncache")
-        sqlite_store = SqliteStore(tmp_path / "store.sqlite")
-        json_store.put_artifact("d1", payload)
-        sqlite_store.put_artifact("d1", payload)
-        assert (json_store.get_artifact("d1")
-                == sqlite_store.get_artifact("d1") == payload)
-        sqlite_store.close()
-
-    def test_json_written_entries_hit_through_sqlite(self, tmp_path):
-        """Counting with the JSON cache, copying the rows into sqlite,
-        then counting against sqlite must be a cache hit with the same
-        response — the fingerprint keys are backend-independent."""
-        problem = _problem("store_diff")
-        request = _request()
-        with Session(cache_dir=tmp_path / "jsoncache") as session:
-            solved = session.count(problem, request)
-        json_store = ResultCache(tmp_path / "jsoncache")
-        sqlite_store = SqliteStore(tmp_path / "store.sqlite")
-        key = problem.fingerprint(request.cache_params("pact:xor"))
-        entry = json_store.get(key)
-        assert entry is not None
-        sqlite_store.put(key, entry)
-
-        with Session(cache=sqlite_store) as session:
-            replayed = session.count(problem, request)
-        assert replayed.cached
-        assert replayed.estimate == solved.estimate
-        assert replayed.status is solved.status
-        assert replayed.exact == solved.exact
-        sqlite_store.close()
+        with SqliteStore(tmp_path / "store.sqlite") as store:
+            store.put_artifact("d1", payload)
+            assert store.get_artifact("d1") == payload
 
     def test_same_response_counting_against_either_backend(self, tmp_path):
+        """Counting with no store, through a store, and replaying the
+        stored row all give the same response."""
         problem = _problem("store_same")
         request = _request()
-        with Session(cache_dir=tmp_path / "jsoncache") as session:
-            via_json = session.count(problem, request)
-        with Session(cache_dir=tmp_path / "store.sqlite") as session:
-            via_sqlite = session.count(problem, request)
-            repeat = session.count(problem, request)
-        assert via_json.estimate == via_sqlite.estimate
-        assert via_json.estimates == via_sqlite.estimates
-        assert repeat.cached
-        assert repeat.estimate == via_json.estimate
+        reference = Session().count(problem, request)
+        with Session(cache_dir=tmp_path) as session:
+            solved = session.count(problem, request)
+            replayed = session.count(problem, request)
+        assert not solved.cached and replayed.cached
+        for response in (solved, replayed):
+            assert response.estimate == reference.estimate
+            assert response.status is reference.status
+            assert response.exact == reference.exact
+        assert solved.estimates == reference.estimates
+
+
+# The parent's DDL of the results database, verbatim.
+PARENT_RESULTS_DDL = """
+CREATE TABLE IF NOT EXISTS entries (
+    fingerprint TEXT PRIMARY KEY,
+    payload     TEXT NOT NULL,
+    saved_at    REAL NOT NULL,
+    used_at     REAL NOT NULL
+);
+CREATE TABLE IF NOT EXISTS artifacts (
+    digest     TEXT NOT NULL,
+    simplified INTEGER NOT NULL,
+    payload    TEXT NOT NULL,
+    used_at    REAL NOT NULL,
+    PRIMARY KEY (digest, simplified)
+);
+"""
+
+
+class TestEarlierDatabases:
+    def test_parent_results_database_serves_hits(self, tmp_path):
+        """A results database built with the earlier DDL serves its
+        rows: the result as a cache hit, the artifact with no
+        recompile."""
+        from repro.compile import compile_counters, reset_compile_memo
+
+        problem = _problem("store_parent")
+        request = _request()
+        reset_compile_memo()
+        try:
+            with Session(cache_dir=tmp_path / "fresh.sqlite") as session:
+                solved = session.count(problem, request)
+                rows = session.cache._conn.execute(
+                    "SELECT fingerprint, payload, saved_at, used_at"
+                    " FROM entries").fetchall()
+                artifacts = session.cache._conn.execute(
+                    "SELECT digest, simplified, payload, used_at"
+                    " FROM artifacts").fetchall()
+            path = tmp_path / "parent.sqlite"
+            with sqlite3.connect(path) as connection:
+                connection.executescript(PARENT_RESULTS_DDL)
+                connection.executemany(
+                    "INSERT INTO entries VALUES (?, ?, ?, ?)", rows)
+                connection.executemany(
+                    "INSERT INTO artifacts VALUES (?, ?, ?, ?)", artifacts)
+            reset_compile_memo()
+            with Session(cache_dir=path) as session:
+                replayed = session.count(problem, request)
+                reseeded = session.count(problem, request, seed=12)
+            assert replayed.cached
+            assert replayed.estimate == solved.estimate
+            assert not reseeded.cached and reseeded.solved
+            assert session.cache.artifact_hits == 1
+            assert compile_counters()["builds"] == 0
+        finally:
+            reset_compile_memo()

@@ -1,7 +1,10 @@
 """CLI tests (count / enum / generate round trips)."""
 
+import sqlite3
+
 import pytest
 
+from repro import cli
 from repro.cli import main
 
 
@@ -76,6 +79,50 @@ class TestEngineFlags:
         assert main(["count", str(smt_file), "--cache-dir",
                      str(cache_dir)]) == 0
         assert "cache hit" in capsys.readouterr().out
+        assert (cache_dir / "pact-cache.sqlite").is_file()
+
+    def test_count_cache_that_is_not_a_database(self, smt_file, tmp_path,
+                                                capsys):
+        path = tmp_path / "bad.sqlite"
+        path.write_text("{torn json")
+        assert main(["count", str(smt_file), "--cache-dir",
+                     str(path)]) == 2
+        assert f"error: cannot open store {path}" in capsys.readouterr().err
+        assert path.read_text() == "{torn json"
+
+    def test_one_file_holds_results_and_components(self, smt_file,
+                                                   tmp_path, capsys):
+        path = str(tmp_path / "shared.sqlite")
+        argv = ["count", str(smt_file), "--counter", "exact:cc",
+                "--cache-dir", path, "--component-store", path]
+        assert main(argv) == 0
+        assert "cache hit" not in capsys.readouterr().out
+        assert main(argv) == 0
+        assert "c cache hit" in capsys.readouterr().out
+        with sqlite3.connect(path) as conn:
+            (components,) = conn.execute(
+                "SELECT COUNT(*) FROM components").fetchone()
+        assert components > 0
+
+    def test_serve_cache_dir_opens_pact_cache_sqlite(self, tmp_path,
+                                                     monkeypatch):
+        opened = []
+
+        async def serve_main(session, config):
+            opened.append(session.cache.path)
+            return 0
+
+        monkeypatch.setattr(cli, "_serve_main", serve_main)
+        assert main(["serve", "--cache-dir", str(tmp_path)]) == 0
+        assert main(["serve", "--store", "sqlite", "--cache-dir",
+                     str(tmp_path / "x.db")]) == 0
+        assert opened == [tmp_path / "pact-cache.sqlite",
+                          tmp_path / "x.db"]
+
+    def test_serve_store_accepts_only_sqlite(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--store", "json"])
+        assert excinfo.value.code == 2
 
     def test_count_no_cache_ignores_dir(self, smt_file, tmp_path, capsys):
         cache_dir = tmp_path / "cache"

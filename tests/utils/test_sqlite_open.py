@@ -1,14 +1,13 @@
 """Processes racing to open one fresh sqlite file: SQLite can fail the
 WAL switch with "database is locked" without waiting out the busy
-timeout, so :func:`repro.utils.sqlite.open_wal` retries it.  Every open
-of every round must succeed for both stores."""
+timeout, so :func:`repro.serve.store.open_wal` retries it.  Every open
+of every round must succeed."""
 
 import multiprocessing
 from pathlib import Path
 
 import pytest
 
-from repro.count_exact.store import ComponentStore
 from repro.serve.store import SqliteStore
 
 WORKERS = 4
@@ -28,7 +27,7 @@ def _open_every_round(store_class, directory, barrier, results):
     results.put(failures)
 
 
-@pytest.mark.parametrize("store_class", [ComponentStore, SqliteStore],
+@pytest.mark.parametrize("store_class", [SqliteStore],
                          ids=lambda cls: cls.__name__)
 def test_simultaneous_opens_of_a_fresh_file_succeed(tmp_path, store_class):
     context = multiprocessing.get_context("spawn")
