@@ -23,7 +23,10 @@ kernel (``repro.sat.kernel``) on the same smoke formula:
 * the ``exact:cc`` row drives the component-splitting DPLL driver —
   its ``solver_calls`` are DPLL decisions, a pure function of the
   clause DB plus the shared presolve lemmas, and its count must stay
-  bit-exact.
+  bit-exact;
+* the ``exact:cc:lra`` row runs the same driver on a generated
+  QF_BVFPLRA instance, so the eager LRA theory closure's blocking
+  clauses feed the search, and its count must equal the generator's.
 
 A kernel change that alters any driver's search shows up here as a
 changed estimate (determinism break — hard fail) or a solver-call
@@ -60,7 +63,8 @@ FAMILIES = ("xor", "prime", "shift")
 # count, so the cdm row gets a narrower smoke width to stay fast.
 CDM_WIDTH = 6
 CDM_ITERATIONS = 2
-# A generated instance with existential (non-projection) variables.
+# A generated instance with existential (non-projection) variables;
+# the exact:cc:lra row takes its QF_BVFPLRA sibling at the same width.
 BVFP_WIDTH = 8
 
 
@@ -143,6 +147,15 @@ def measure() -> dict:
     results["exact:cc:par"] = {"solver_calls": parallel.solver_calls,
                                "estimate": parallel.estimate,
                                **_kernel_delta(before, "cc.")}
+    instance = GENERATORS["QF_BVFPLRA"](SEED, width=BVFP_WIDTH)
+    before = TELEMETRY.snapshot()
+    lra = cc_count(instance.assertions, instance.projection, timeout=300)
+    assert lra.solved, "exact:cc:lra: instance did not solve"
+    assert lra.estimate == instance.known_count, (
+        f"exact:cc:lra: {lra.estimate} != {instance.known_count}")
+    results["exact:cc:lra"] = {"solver_calls": lra.solver_calls,
+                               "estimate": lra.estimate,
+                               **_kernel_delta(before, "cc.")}
     return results
 
 
@@ -156,7 +169,7 @@ def main() -> int:
     baseline = json.loads(BASELINE_PATH.read_text())
     failed = False
     keys = list(FAMILIES) + ["xor:bvfp", "cdm", "enum", "exact:cc",
-                             "exact:cc:par"]
+                             "exact:cc:par", "exact:cc:lra"]
     for family in keys:
         got = measured[family]
         want = baseline[family]

@@ -34,7 +34,7 @@ import time
 import pytest
 
 from benchmarks.conftest import emit, emit_json
-from repro.api import CountRequest, Problem, resolve
+from repro.api import Problem
 from repro.benchgen.suite import build_suite
 from repro.compile import reset_compile_memo
 from repro.count_exact import count_compiled

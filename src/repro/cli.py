@@ -121,8 +121,12 @@ def _cmd_count(args) -> int:
             _print_kernel_stats()
         return 0
     print(f"s {response.status}")
+    if response.status is Status.ERROR:
+        # The cause (a counter's refusal, a store that will not open)
+        # is the whole answer; it must not need --stats to be seen.
+        print(f"c error {response.detail}")
     if getattr(args, "stats", False):
-        if response.detail:
+        if response.detail and response.status is not Status.ERROR:
             print(f"c detail {response.detail}")
         _print_kernel_stats()
     return 1

@@ -472,7 +472,8 @@ def count_compiled(artifact, *, deadline: Deadline | None = None,
 
     try:
         deadline.check()
-        closure = lra_closure(artifact.atoms, deadline=deadline)
+        closure = lra_closure(artifact.atoms, artifact.snapshot.units,
+                              deadline=deadline)
     except SolverTimeoutError:
         return CountResult(
             estimate=None, status=Status.TIMEOUT,

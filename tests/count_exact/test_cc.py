@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.api import CountRequest, Problem, resolve
+from repro.benchgen.generators import GENERATORS
 from repro.compile import CompiledProblem, compile_problem
 from repro.count_exact import (
     MAX_CLOSURE_ATOMS, cc_count, component_signature, count_compiled,
@@ -14,9 +15,10 @@ from repro.errors import CounterError
 from repro.sat.kernel import ClauseDB, UNSET_V
 from repro.sat.solver import SatSolver
 from repro.smt import (
-    And, Equals, Implies, bv_and, bv_ult, bv_val, bv_var, real_lt,
-    real_val, real_var,
+    And, Equals, Implies, bv_and, bv_ult, bv_val, bv_var, real_add,
+    real_le, real_lt, real_mul, real_val, real_var,
 )
+from repro.smt.theories.lra.theory import LraTheory
 from repro.smt.terms import bv_var as _bv_var
 from repro.status import Status
 
@@ -97,6 +99,17 @@ class TestLraClosure:
         result = cc_count(assertions, [x])
         assert result.estimate == 11
 
+    def test_infeasible_unit_atoms_count_zero(self):
+        # Both atoms are root units and no atom is open: the one vector
+        # the units allow must still be checked and blocked.
+        x = bv_var("cc_ux", 4)
+        r = real_var("cc_ur")
+        assertions = [bv_ult(x, bv_val(11, 4)), real_lt(real_val(0), r),
+                      real_lt(r, real_val(0))]
+        result = cc_count(assertions, [x])
+        assert result.estimate == 0
+        assert "closure=2 atoms/1 checks/1 clauses" in result.detail
+
     def test_closure_blocks_infeasible_vectors_only(self):
         r = real_var("cc_cr")
         atoms = []
@@ -121,8 +134,84 @@ class TestLraClosure:
         r = real_var("cc_capr")
         atoms = [(real_lt(real_val(i), r), i + 1)
                  for i in range(MAX_CLOSURE_ATOMS + 1)]
-        with pytest.raises(CounterError):
+        with pytest.raises(CounterError, match=(
+                f"at most {MAX_CLOSURE_ATOMS} open LRA atoms "
+                f"\\(got {MAX_CLOSURE_ATOMS + 1}\\)")):
             lra_closure(atoms)
+
+    def test_closure_cap_counts_open_atoms(self):
+        # Past the cap in total, but 15 atoms are root units and only
+        # two are open.
+        r = real_var("cc_capur")
+        atoms = [(real_lt(real_val(i), r), i + 1)
+                 for i in range(MAX_CLOSURE_ATOMS + 1)]
+        stats = lra_closure(atoms, units=tuple(range(1, 16)))
+        assert stats.atoms == MAX_CLOSURE_ATOMS + 1
+        assert stats.checks <= 2 ** 2
+
+    def test_held_atoms_are_still_checked(self):
+        # Units fixing 0 < r and r < 0: every vector they allow is
+        # infeasible, and the first check's conflict clause is what
+        # makes the CNF unsatisfiable; it also blocks the second vector.
+        r, s = real_var("cc_hr"), real_var("cc_hs")
+        atoms = [(real_lt(real_val(0), r), 1), (real_lt(r, real_val(0)), 2),
+                 (real_lt(s, real_val(1)), 3)]
+        stats = lra_closure(atoms, units=(1, 2))
+        assert stats.checks == 1
+        assert stats.clauses == [[-2, -1]]
+        # With no atom open the one held vector is checked all the same.
+        stats = lra_closure(atoms[:2], units=(1, 2))
+        assert (stats.checks, stats.clauses) == (1, [[-2, -1]])
+
+    @pytest.mark.parametrize("logic, checks", [("QF_ABVFPLRA", 2),
+                                               ("QF_BVFPLRA", 3)])
+    def test_generated_lra_instance_checks_only_open_vectors(self, logic,
+                                                             checks):
+        # QF_ABVFPLRA holds 3 of its 4 atoms by root units, QF_BVFPLRA
+        # 4 of its 6; enumerating every vector took 13 and 34 checks.
+        instance = GENERATORS[logic](9, width=8)
+        result = cc_count(instance.assertions, instance.projection)
+        assert result.estimate == instance.known_count
+        atoms = {"QF_ABVFPLRA": 4, "QF_BVFPLRA": 6}[logic]
+        assert f"closure={atoms} atoms/{checks} checks/" in result.detail
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_blocks_exactly_the_infeasible_unit_consistent_vectors(
+            self, seed):
+        rng = random.Random(seed)
+        pool = [real_var(f"cc_rd{seed}_{i}") for i in range(5)]
+        atoms = []
+        for literal in range(1, rng.randint(3, 7) + 1):
+            terms = [real_mul(real_val(rng.choice((-2, -1, 1, 3))), var)
+                     for var in rng.sample(pool, rng.randint(1, 3))]
+            expression = terms[0]
+            for term in terms[1:]:
+                expression = real_add(expression, term)
+            relation = rng.choice((real_lt, real_le))
+            atoms.append((relation(expression,
+                                   real_val(rng.randint(-3, 3))),
+                          literal))
+        units = tuple(rng.choice((literal, -literal))
+                      for _atom, literal in atoms if rng.random() < 0.4)
+        stats = lra_closure(atoms, units=units)
+
+        reference = LraTheory()
+        for atom, literal in atoms:
+            reference.register(atom, literal)
+        held = {abs(lit): lit > 0 for lit in units}
+        for vector in range(1 << len(atoms)):
+            polarity = {literal: bool((vector >> (literal - 1)) & 1)
+                        for _atom, literal in atoms}
+            if any(polarity[var] != value for var, value in held.items()):
+                continue
+
+            def value(lit, polarity=polarity):
+                return polarity[abs(lit)] == (lit > 0)
+
+            blocked = any(all(not value(lit) for lit in clause)
+                          for clause in stats.clauses)
+            feasible, _payload = reference.check(value)
+            assert blocked == (not feasible), (seed, vector)
 
 
 class TestSignature:

@@ -179,22 +179,55 @@ class TestExactGroundTruth:
             exact_ground_truth([instance])
 
     def test_counter_refusal_keeps_analytic_count(self):
-        """An instance the exact engine cannot take (here: more LRA
+        """An instance the exact engine cannot take (here: more open LRA
         atoms than the closure cap) keeps its analytic ground truth
         instead of killing the experiment."""
+        from repro.api import CountRequest, Problem, Session
+        from repro.benchgen.spec import Instance
+        from repro.count_exact import MAX_CLOSURE_ATOMS
+        from repro.harness.accuracy import exact_ground_truth
+        from repro.smt import Equals, Implies, bv_extract, bv_ult, \
+            bv_val, bv_var, real_lt, real_val, real_var
+        from repro.status import Status
+        atoms = MAX_CLOSURE_ATOMS + 1
+        x = bv_var("gt_cap", 4)
+        y = bv_var("gt_cap_y", atoms)
+        r = real_var("gt_cap_r")
+        # Each atom sits behind its own projection bit, so none is a
+        # root unit and all of them are open: one past the cap.
+        assertions = [bv_ult(x, bv_val(9, 4))]
+        assertions += [Implies(Equals(bv_extract(y, i, i), bv_val(1, 1)),
+                               real_lt(real_val(i), r))
+                       for i in range(atoms)]
+        known = 9 << atoms  # r above every bound satisfies each atom
+        instance = Instance(name="gt_cap", logic="QF_BVFPLRA",
+                            cluster="cap", assertions=assertions,
+                            projection=[x, y], known_count=known)
+        with Session() as session:
+            response = session.count(Problem.from_instance(instance),
+                                     CountRequest(counter="exact:cc"))
+        assert response.status is Status.ERROR
+        assert (f"at most {MAX_CLOSURE_ATOMS} open LRA atoms "
+                f"(got {atoms})") in response.detail
+        exact_ground_truth([instance])
+        assert instance.known_count == known
+
+    def test_root_unit_atoms_past_the_cap_count_exactly(self):
+        """Atoms that are root units are held, not enumerated, so more
+        of them than the cap still count exactly."""
         from repro.benchgen.spec import Instance
         from repro.count_exact import MAX_CLOSURE_ATOMS
         from repro.harness.accuracy import exact_ground_truth
         from repro.smt import bv_ult, bv_val, bv_var, real_lt, real_val, \
             real_var
-        x = bv_var("gt_cap", 4)
-        r = real_var("gt_cap_r")
+        x = bv_var("gt_units", 4)
+        r = real_var("gt_units_r")
         assertions = [bv_ult(x, bv_val(9, 4))]
         assertions += [real_lt(real_val(i), r)
                        for i in range(MAX_CLOSURE_ATOMS + 1)]
-        instance = Instance(name="gt_cap", logic="QF_BVFPLRA",
+        instance = Instance(name="gt_units", logic="QF_BVFPLRA",
                             cluster="cap", assertions=assertions,
-                            projection=[x], known_count=9)
+                            projection=[x], known_count=None)
         exact_ground_truth([instance])
         assert instance.known_count == 9
 

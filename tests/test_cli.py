@@ -6,6 +6,7 @@ import pytest
 
 from repro import cli
 from repro.cli import main
+from repro.count_exact import MAX_CLOSURE_ATOMS
 
 
 @pytest.fixture()
@@ -56,6 +57,26 @@ class TestCount:
         """)
         assert main(["count", str(path)]) == 2
 
+    def test_count_error_prints_the_closure_cap(self, tmp_path, capsys):
+        # Every atom sits behind its own projection bit, so none is a
+        # root unit: the closure has one more open atom than the cap,
+        # and exact:cc refuses.
+        atoms = MAX_CLOSURE_ATOMS + 1
+        lines = ["(set-logic QF_BVLRA)",
+                 f"(declare-fun y () (_ BitVec {atoms}))",
+                 "(declare-fun r () Real)",
+                 "(set-info :projected-vars (y))"]
+        lines += [f"(assert (=> (= ((_ extract {i} {i}) y) #b1) "
+                  f"(< {i}.0 r)))" for i in range(atoms)]
+        path = tmp_path / "over_cap.smt2"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["count", str(path), "--counter", "exact:cc"]) == 1
+        output = capsys.readouterr().out
+        assert "s error" in output
+        assert (f"c error exact:cc supports at most {MAX_CLOSURE_ATOMS} "
+                f"open LRA atoms") in output
+        assert "use the enum counter" in output
+
     def test_enum(self, smt_file, capsys):
         assert main(["enum", str(smt_file)]) == 0
         assert "s exact 20" in capsys.readouterr().out
@@ -89,6 +110,27 @@ class TestEngineFlags:
                      str(path)]) == 2
         assert f"error: cannot open store {path}" in capsys.readouterr().err
         assert path.read_text() == "{torn json"
+
+    def test_count_component_store_that_is_not_a_database(
+            self, smt_file, tmp_path, capsys):
+        path = tmp_path / "bad.sqlite"
+        path.write_text("not a database")
+        assert main(["count", str(smt_file), "--counter", "exact:cc",
+                     "--component-store", str(path)]) == 1
+        output = capsys.readouterr().out
+        assert "s error" in output
+        assert f"c error cannot open store {path}" in output
+        assert path.read_text() == "not a database"
+
+    def test_count_error_under_stats_prints_the_detail_once(
+            self, smt_file, tmp_path, capsys):
+        path = tmp_path / "bad.sqlite"
+        path.write_text("not a database")
+        assert main(["count", str(smt_file), "--counter", "exact:cc",
+                     "--component-store", str(path), "--stats"]) == 1
+        output = capsys.readouterr().out
+        assert output.count(f"cannot open store {path}") == 1
+        assert "c detail" not in output
 
     def test_one_file_holds_results_and_components(self, smt_file,
                                                    tmp_path, capsys):
