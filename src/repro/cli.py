@@ -94,6 +94,14 @@ def _print_solved(response) -> None:
     print(f"s {kind} {response.estimate}")
 
 
+def _print_unsolved(response) -> None:
+    print(f"s {response.status}")
+    if response.status is Status.ERROR:
+        # The cause (a counter's refusal, a store that will not open)
+        # is the whole answer; it must not need --stats to be seen.
+        print(f"c error {response.detail}")
+
+
 def _cmd_count(args) -> int:
     problem = _problem(args)
     counter = args.counter or args.family
@@ -120,11 +128,7 @@ def _cmd_count(args) -> int:
                 print(f"c detail {response.detail}")
             _print_kernel_stats()
         return 0
-    print(f"s {response.status}")
-    if response.status is Status.ERROR:
-        # The cause (a counter's refusal, a store that will not open)
-        # is the whole answer; it must not need --stats to be seen.
-        print(f"c error {response.detail}")
+    _print_unsolved(response)
     if getattr(args, "stats", False):
         if response.detail and response.status is not Status.ERROR:
             print(f"c detail {response.detail}")
@@ -174,7 +178,7 @@ def _cmd_enum(args) -> int:
     if response.solved:
         print(f"s exact {response.estimate}")
         return 0
-    print(f"s {response.status}")
+    _print_unsolved(response)
     return 1
 
 

@@ -38,7 +38,10 @@ __all__ = [
 _MEMO_CAP = 64
 
 _memo: dict[tuple, CompiledProblem] = {}
+# Per-key build counts of the keys the memo holds (eviction drops a
+# key's count), and the process's running total of builds.
 _builds: dict[tuple, int] = {}
+_build_total = [0]
 _memo_lock = threading.Lock()
 _key_locks: dict[tuple, threading.Lock] = {}
 
@@ -67,7 +70,9 @@ def _key(digest: str, kind: str, extra: tuple) -> tuple:
 def _evict_to_cap(incoming: tuple) -> None:
     """Make room for ``incoming``, oldest-first (caller holds the lock)."""
     while len(_memo) >= _MEMO_CAP and incoming not in _memo:
-        _memo.pop(next(iter(_memo)))
+        evicted = next(iter(_memo))
+        del _memo[evicted]
+        _builds.pop(evicted, None)
 
 
 def compiled_for(assertions, projection, *, digest: str,
@@ -87,17 +92,25 @@ def compiled_for(assertions, projection, *, digest: str,
             return artifact
         lock = _key_locks.setdefault(key, threading.Lock())
     with lock:
-        with _memo_lock:
-            artifact = _memo.get(key)
-        if artifact is not None:
+        try:
+            with _memo_lock:
+                artifact = _memo.get(key)
+            if artifact is not None:
+                return artifact
+            artifact = compile_problem(assertions, projection,
+                                       digest=digest)
+            with _memo_lock:
+                _evict_to_cap(key)
+                _memo[key] = artifact
+                _builds[key] = _builds.get(key, 0) + 1
+                _build_total[0] += 1
             return artifact
-        artifact = compile_problem(assertions, projection, digest=digest)
-        with _memo_lock:
-            _evict_to_cap(key)
-            _memo[key] = artifact
-            _builds[key] = _builds.get(key, 0) + 1
-            _key_locks.pop(key, None)
-        return artifact
+        finally:
+            # Also when the compile raises: a server handed many
+            # distinct unsupported problems must not keep a lock each.
+            with _memo_lock:
+                if _key_locks.get(key) is lock:
+                    del _key_locks[key]
 
 
 def preseed_compile_memo(artifact: CompiledProblem, *,
@@ -121,9 +134,10 @@ def peek_compiled(digest: str, *, kind: str = "pact",
 
 def compile_counters() -> dict:
     """Build accounting for the exactly-once tests: total pipeline runs
-    and the per-key build counts of this process."""
+    of this process and the per-key build counts of the keys the memo
+    holds."""
     with _memo_lock:
-        return {"builds": sum(_builds.values()),
+        return {"builds": _build_total[0],
                 "per_key": dict(_builds), "entries": len(_memo)}
 
 
@@ -132,4 +146,5 @@ def reset_compile_memo() -> None:
     with _memo_lock:
         _memo.clear()
         _builds.clear()
+        _build_total[0] = 0
         _key_locks.clear()

@@ -76,7 +76,8 @@ class IterationSpec:
 # Every fanned-out count, session spec and scheduler slot adds an entry,
 # so a long-lived process evicts oldest-first at the cap (dicts are
 # insertion-ordered), under a lock because pool threads write it too.
-# Re-parsing an evicted script gives the same interned terms.
+# Re-parsing an evicted script gives the same term objects only while
+# something else still holds them (terms are interned weakly).
 _PARSE_CAP = 64
 _parse_memo: dict[str, tuple[list, list]] = {}
 _parse_lock = threading.Lock()

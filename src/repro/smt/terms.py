@@ -5,6 +5,15 @@ Terms form an immutable DAG.  Structurally identical terms are interned, so
 terms (bit-blasting memos, model assignments) are therefore O(1) on
 identity.
 
+The intern table holds terms weakly: a term lives while something
+references it (a problem, an artifact, a memo, a solver, a caller), and
+the table forgets it when the last reference goes, so a long-lived
+process's heap follows the problems it still holds, not every problem it
+has seen.  Identity holds among live terms: rebuilding a collected term
+gives a fresh object with a fresh ``term_id``, and every live copy
+shares it.  Ids are never reused, so a table key naming a collected
+child can never match a term built from live ones.
+
 Python's ``==`` on terms is identity (``__eq__`` is *not* overloaded to
 build equations — that breaks dict semantics); build equations with
 :func:`Equals` or ``t.eq(other)``.  Arithmetic and bitwise operators *are*
@@ -14,6 +23,7 @@ overloaded for the unambiguous cases (``x + y``, ``x & y``, ``~x``, ...).
 from __future__ import annotations
 
 import threading
+import weakref
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -24,7 +34,11 @@ from repro.smt.sorts import (
     FunctionSort, FunctionSortClass, RealSort, Sort,
 )
 
-_interned: dict[tuple, "Term"] = {}
+# Keyed by (op, payload, params, child term_ids, id(sort)): sorts are
+# interned strongly, so id(sort) is stable, and term_ids are monotonic,
+# so a key can name only the children of its own (live) term.
+_interned: weakref.WeakValueDictionary[tuple, "Term"] = (
+    weakref.WeakValueDictionary())
 _intern_lock = threading.Lock()
 _next_id = [0]
 
@@ -214,7 +228,7 @@ def _mk(op: str, args: tuple[Term, ...], sort: Sort, payload=None,
 
 
 def term_count() -> int:
-    """Number of distinct interned terms (diagnostics)."""
+    """Number of live interned terms (diagnostics)."""
     return len(_interned)
 
 

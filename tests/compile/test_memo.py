@@ -75,6 +75,34 @@ class TestExactlyOnce:
         assert compile_counters()["builds"] == 0
 
 
+class TestBoundedSideTables:
+    def test_eviction_drops_the_build_count(self, monkeypatch):
+        from repro.compile import memo
+        assertions, projection = _formula("memo_cap")
+        monkeypatch.setattr(memo, "_MEMO_CAP", 4)
+        for index in range(10):
+            compiled_for(assertions, projection, digest=f"cap{index}")
+        counters = compile_counters()
+        assert counters["builds"] == 10
+        assert counters["entries"] == 4
+        assert set(counters["per_key"]) == {
+            (f"cap{index}", "pact") for index in range(6, 10)}
+
+    def test_failed_compile_releases_its_key_lock(self, monkeypatch):
+        from repro.compile import memo
+
+        def refuse(*args, **kwargs):
+            raise ValueError("unsupported")
+
+        monkeypatch.setattr(memo, "compile_problem", refuse)
+        assertions, projection = _formula("memo_fail")
+        for index in range(5):
+            with pytest.raises(ValueError):
+                compiled_for(assertions, projection, digest=f"bad{index}")
+        assert memo._key_locks == {}
+        assert compile_counters()["builds"] == 0
+
+
 class TestFanOutExactlyOnce:
     def test_session_thread_fanout_compiles_once(self):
         assertions, projection = _formula("memo_fan", width=12, bound=3000)

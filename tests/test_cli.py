@@ -85,6 +85,20 @@ class TestCount:
         assert main(["enum", str(smt_file), "--limit", "3"]) == 1
         assert "s limit" in capsys.readouterr().out
 
+    def test_enum_error_prints_the_cause(self, tmp_path, capsys):
+        path = tmp_path / "nonlinear.smt2"
+        path.write_text("""
+            (set-logic QF_BVLRA)
+            (declare-fun x () (_ BitVec 4))
+            (declare-fun r () Real)
+            (set-info :projected-vars (x))
+            (assert (< (* r r) 1.0))
+        """)
+        assert main(["enum", str(path)]) == 1
+        output = capsys.readouterr().out
+        assert "s error" in output
+        assert "c error non-linear real multiplication" in output
+
 
 class TestEngineFlags:
     def test_count_with_jobs(self, smt_file, capsys):
