@@ -12,6 +12,10 @@ kernel (``repro.sat.kernel``) on the same smoke formula:
 
 * the pact family rows and the ``cdm`` row drive the CDCL driver
   (watched literals, XOR rows, push/pop ladder frames);
+* the ``xor:j2`` row runs the ``xor`` row's formula fanned out over a
+  2-worker thread pool: two iteration chains, each on its own cloned
+  solver, so its columns are a pure function of (problem, parameters,
+  ``jobs``) — and its estimate is gated against the serial row's;
 * the ``enum`` row drives the CDCL driver's projected-model
   enumeration alone (no hash frames, one block per model), and its
   count must stay exact;
@@ -93,6 +97,22 @@ def measure() -> dict:
         results[family] = {"solver_calls": result.solver_calls,
                            "estimate": result.estimate,
                            **_kernel_delta(before, "pact.")}
+    # The fan-out row: the xor row's formula, its iterations split into
+    # per-worker chains (iterations 0 and 2 on one solver, 1 on the
+    # other).
+    x = bv_var("ci_xor_j2", WIDTH)
+    config = PactConfig(family="xor", seed=SEED,
+                        iteration_override=ITERATIONS, timeout=300)
+    before = TELEMETRY.snapshot()
+    fanned = pact_count([bv_ult(x, bv_val(bound, WIDTH))], [x], config,
+                        pool=ExecutionPool(jobs=2, backend="thread"))
+    assert fanned.solved, "xor:j2: smoke instance did not solve"
+    assert fanned.estimate == results["xor"]["estimate"], (
+        f"xor:j2 diverged from serial: {fanned.estimate} != "
+        f"{results['xor']['estimate']}")
+    results["xor:j2"] = {"solver_calls": fanned.solver_calls,
+                         "estimate": fanned.estimate,
+                         **_kernel_delta(before, "pact.")}
     instance = GENERATORS["QF_BVFP"](SEED, width=BVFP_WIDTH)
     config = PactConfig(family="xor", seed=SEED,
                         iteration_override=ITERATIONS, timeout=300)
@@ -168,7 +188,7 @@ def main() -> int:
         return 0
     baseline = json.loads(BASELINE_PATH.read_text())
     failed = False
-    keys = list(FAMILIES) + ["xor:bvfp", "cdm", "enum", "exact:cc",
+    keys = list(FAMILIES) + ["xor:j2", "xor:bvfp", "cdm", "enum", "exact:cc",
                              "exact:cc:par", "exact:cc:lra"]
     for family in keys:
         got = measured[family]

@@ -24,9 +24,10 @@ Like pact, iterations are independent: every random draw of iteration
 the iterations can run serially or fan out across an
 :class:`repro.engine.pool.ExecutionPool` with bit-identical estimates.
 The boundary search probes through an incremental
-:class:`repro.core.ladder.HashLadder` and may warm-start from the
-previous iteration's boundary — both change only the probe order, never
-the (index-pure) cell counts, so estimates are unaffected.
+:class:`repro.core.ladder.HashLadder` and, in both paths'
+:func:`repro.core.search.run_chain`, warm-starts from the previous
+iteration's boundary — both change only the probe order, never the
+(index-pure) cell counts, so estimates are unaffected.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import time
 from repro.core.cells import SATURATED, CallCounter, saturating_count
 from repro.core.ladder import HashLadder
 from repro.core.result import CountResult
-from repro.core.search import find_boundary
+from repro.core.search import find_boundary, run_chain
 from repro.core.slicing import dedupe_projection, total_bits
 from repro.errors import ResourceBudgetError, SolverTimeoutError
 from repro.sat.kernel import TELEMETRY
@@ -186,6 +187,21 @@ def cdm_iteration_estimate(solver: SmtSolver, flat_projection: list[Term],
     return _integer_root(composed_estimate, copies), boundary
 
 
+def cdm_iteration_step(solver: SmtSolver, flat_projection: list[Term],
+                       seed: int, copies: int, deadline: Deadline,
+                       calls: CallCounter):
+    """``iterate(index, warm_start) -> (estimate, boundary)`` for
+    :func:`run_chain`: one :func:`cdm_iteration_estimate` on ``solver``,
+    shared by the serial loop and the fan-out workers."""
+    max_index = total_bits(flat_projection)
+
+    def iterate(index: int, warm_start: int) -> tuple[int, int]:
+        return cdm_iteration_estimate(
+            solver, flat_projection, seed, copies, max_index, deadline,
+            calls, index, warm_start=warm_start)
+    return iterate
+
+
 def cdm_count(assertions, projection: list[Term], epsilon: float = 0.8,
               delta: float = 0.2, seed: int = 1,
               timeout: float | None = None,
@@ -235,8 +251,6 @@ def cdm_count(assertions, projection: list[Term], epsilon: float = 0.8,
             # Exact count of N^q; N is its exact integer q-th root.
             return finish(_integer_root(initial, copies), exact=True)
 
-        max_index = total_bits(flat_projection)
-
         if pool is not None and pool.parallel and iterations > 1:
             from repro.engine.fanout import fan_out_iterations
             status = fan_out_iterations(
@@ -247,13 +261,9 @@ def cdm_count(assertions, projection: list[Term], epsilon: float = 0.8,
             if status is not None:
                 return finish(None, status=status)
         else:
-            warm_start = 1
-            for iteration in range(iterations):
-                estimate, boundary = cdm_iteration_estimate(
-                    solver, flat_projection, seed, copies, max_index,
-                    deadline, calls, iteration, warm_start=warm_start)
-                estimates.append(estimate)
-                warm_start = boundary
+            run_chain(cdm_iteration_step(solver, flat_projection, seed,
+                                         copies, deadline, calls),
+                      range(iterations), estimates)
         return finish(median(estimates))
     except SolverTimeoutError:
         return finish(None, status=Status.TIMEOUT)

@@ -53,7 +53,7 @@ class CallCounter:
                 self.sat_answers += 1
 
     def merge(self, solver_calls: int, sat_answers: int) -> None:
-        """Fold a worker's per-iteration totals in, atomically (the join
+        """Fold a worker's per-chain totals in, atomically (the join
         step of the fan-out's per-worker counters)."""
         with self._lock:
             self.solver_calls += solver_calls

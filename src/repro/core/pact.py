@@ -11,20 +11,22 @@ random choice from ``SeedSequence(seed, "pact/<family>").child(f"iteration{i}")`
 so the estimate of one iteration never depends on another.  That
 independence is the determinism contract of the engine subsystem (see
 DESIGN.md): running the iterations serially on one shared solver, or
-fanned out across threads or processes on fresh solvers, produces
-bit-identical per-iteration estimates — cell counts are exact and every
-random draw is a pure function of (seed, family, iteration index).
+fanned out across threads or processes as one chain per worker,
+produces bit-identical per-iteration estimates — cell counts are exact
+and every random draw is a pure function of (seed, family, iteration
+index).
 
-The boundary search *may* warm-start from the previous iteration's
-boundary (section III-C's gallop): the boundary and the boundary cell
-count are pure functions of the hash index, so the probe order — the
-only thing a warm start changes — cannot change the estimate, it only
-cuts the number of oracle calls.  Probes run on an incremental
-:class:`repro.core.ladder.HashLadder` (one nested solver frame per hash
-index) so moving the probe from index i to j re-asserts only the
-``|i - j|`` delta instead of rebuilding the whole prefix (section
-III-F's incremental solving, with learnt-clause retention in the SAT
-core underneath).
+Both paths run :func:`repro.core.search.run_chain` over
+:func:`iteration_step`, so each boundary search warm-starts from the
+previous iteration's boundary (section III-C's gallop): the boundary
+and the boundary cell count are pure functions of the hash index, so
+the probe order — the only thing a warm start changes — cannot change
+the estimate, it only cuts the number of oracle calls.  Probes run on
+an incremental :class:`repro.core.ladder.HashLadder` (one nested solver
+frame per hash index) so moving the probe from index i to j re-asserts
+only the ``|i - j|`` delta instead of rebuilding the whole prefix
+(section III-F's incremental solving, with learnt-clause retention in
+the SAT core underneath).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from repro.core.constants import get_constants
 from repro.core.hashes import generate_hash
 from repro.core.ladder import HashLadder
 from repro.core.result import CountResult
-from repro.core.search import find_boundary
+from repro.core.search import find_boundary, run_chain
 from repro.core.slicing import dedupe_projection, total_bits
 from repro.errors import CounterError, ResourceBudgetError, SolverTimeoutError
 from repro.sat.kernel import TELEMETRY
@@ -158,6 +160,23 @@ def iteration_estimate(solver: SmtSolver, projection: list[Term],
         ladder.close()
 
 
+def iteration_step(solver: SmtSolver, projection: list[Term],
+                   flat_bits: list[int], config: PactConfig,
+                   deadline: Deadline, calls: CallCounter):
+    """``iterate(index, warm_start) -> (estimate, boundary)`` for
+    :func:`run_chain`: one :func:`iteration_estimate` on ``solver``,
+    shared by the serial loop and the fan-out workers."""
+    thresh, _, slice_width = get_constants(
+        config.epsilon, config.delta, config.family)
+    max_index = max_hash_index(projection, config.family, slice_width)
+
+    def iterate(index: int, warm_start: int) -> tuple[int, int]:
+        return iteration_estimate(
+            solver, projection, flat_bits, config, thresh, slice_width,
+            max_index, deadline, calls, index, warm_start=warm_start)
+    return iterate
+
+
 def pact_count(assertions: list[Term], projection: list[Term],
                config: PactConfig,
                deadline: Deadline | None = None,
@@ -185,7 +204,7 @@ def pact_count(assertions: list[Term], projection: list[Term],
     # hash the same bits twice, voiding pairwise independence.
     projection = dedupe_projection(projection)
 
-    thresh, num_iterations, slice_width = get_constants(
+    thresh, num_iterations, _ = get_constants(
         config.epsilon, config.delta, config.family)
     if config.iteration_override is not None:
         num_iterations = config.iteration_override
@@ -216,8 +235,6 @@ def pact_count(assertions: list[Term], projection: list[Term],
         if initial is not SATURATED:
             return finish(initial, exact=True)
 
-        max_index = max_hash_index(projection, config.family, slice_width)
-
         if pool is not None and pool.parallel and num_iterations > 1:
             from repro.engine.fanout import fan_out_iterations
             status = fan_out_iterations(
@@ -229,17 +246,9 @@ def pact_count(assertions: list[Term], projection: list[Term],
             if status is not None:
                 return finish(None, status=status)
         else:
-            warm_start = 1
-            for iteration in range(num_iterations):
-                estimate, boundary = iteration_estimate(
-                    solver, projection, flat_bits, config, thresh,
-                    slice_width, max_index, deadline, calls, iteration,
-                    warm_start=warm_start)
-                estimates.append(estimate)
-                # Gallop the next iteration's search from this boundary
-                # (sound: probe order never changes the estimate, see
-                # iteration_estimate).
-                warm_start = boundary
+            run_chain(iteration_step(solver, projection, flat_bits,
+                                     config, deadline, calls),
+                      range(num_iterations), estimates)
 
         return finish(median(estimates))
     except SolverTimeoutError:

@@ -7,13 +7,13 @@ The search finds the boundary index i* with C[i*-1] saturated and
 C[i*] < thresh using O(log |S|) cell counts: gallop (double upward /
 halve downward) from ``start``, then bisect the bracketed range.
 
-Callers pass the previous iteration's boundary as ``start`` (the warm
-start both counters thread through their serial loops and the fan-out
-workers keep per worker): boundaries barely move between iterations, so
-the gallop usually brackets the new boundary within a couple of probes
-instead of doubling up from index 1.  ``start`` only changes which
-indices get probed — C is a fixed (per-iteration) function of the index
-— so the boundary and its cell count are independent of it.
+:func:`run_chain` is the one iteration loop, serial or per fan-out
+worker: it starts each search at the boundary the previous iteration
+found.  Boundaries barely move between iterations, so the gallop
+usually brackets the new boundary within a couple of probes instead of
+doubling up from index 1.  ``start`` only changes which indices get
+probed — C is a fixed (per-iteration) function of the index — so the
+boundary and its cell count are independent of it.
 """
 
 from __future__ import annotations
@@ -77,3 +77,17 @@ def find_boundary(count_at, start: int, max_index: int
         else:
             high = middle
     return high, cache[high], cache
+
+
+def run_chain(iterate, indices, estimates: list) -> None:
+    """Run the iterations ``indices`` in order, appending each estimate
+    to ``estimates`` (so a timeout keeps the finished ones).
+
+    ``iterate(index, warm_start)`` runs one iteration and returns
+    ``(estimate, boundary)``; each search starts at the boundary the
+    previous one found (1 for the first).
+    """
+    warm_start = 1
+    for index in indices:
+        estimate, warm_start = iterate(index, warm_start)
+        estimates.append(estimate)

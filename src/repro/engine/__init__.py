@@ -5,9 +5,10 @@ Everything concurrent lives here, behind three seams:
 * :mod:`repro.engine.pool` — :class:`ExecutionPool`, one API over
   serial / thread / process backends with per-task deadlines, graceful
   cancellation and per-worker accounting;
-* :mod:`repro.engine.fanout` — counting-iteration fan-out: a single
-  pact/CDM iteration as a pure, picklable unit of work whose parallel
-  median is bit-identical to the serial run;
+* :mod:`repro.engine.fanout` — counting-iteration fan-out: a
+  pact/CDM count's iterations as one picklable chain per worker, run
+  through the serial loop's code, so the parallel median is
+  bit-identical to the serial run;
 * :mod:`repro.engine.scheduler` — the evaluation-matrix scheduler:
   (configuration, instance) slots dispatched across a pool with
   per-slot budgets, live progress and the fingerprint result cache

@@ -1,32 +1,36 @@
-"""Iteration fan-out: one counting iteration as a pure, picklable task.
+"""Iteration fan-out: a counter's iterations as per-worker chains.
 
 Both counters take a median over numIt independent iterations
-(Algorithm 1 line 15) — embarrassingly parallel once a single iteration
-is a self-contained unit of work.  An :class:`IterationSpec` carries the
-problem in its *serialised* SMT-LIB form (terms are hash-consed and
-interned per process, so shipping the script text is the safe way to
-cross a process boundary) **plus its artifact digest**: the worker keys
-the per-process compile memo (:mod:`repro.compile.memo`) on the digest,
-so preprocessing + bit-blasting run at most once per (problem, params)
-per process and every later iteration clones the compiled snapshot —
-the compiled artifact, not the re-parsed script, is the unit of
-cross-process transfer.  Every random draw of iteration ``i`` derives
-from ``SeedSequence(seed, ..., f"iteration{i}")``, so the worker
-reconstructs exactly the serial run's randomness and the parallel
-median is bit-identical to the serial one.
+(Algorithm 1 line 15).  The fan-out splits them into ``min(jobs,
+numIt)`` chains — chain ``w`` runs iterations ``w, w + jobs, ...`` — and
+each chain is one picklable task: it builds one solver and runs its
+iterations through :func:`repro.core.search.run_chain` with the
+counter's own iteration closure (:func:`repro.core.pact.iteration_step`,
+:func:`repro.core.cdm.cdm_iteration_step`), the loop the serial counters
+run.  So a chain warm-starts each search from its previous boundary on
+an incremental solver exactly as the serial loop does, and
+:func:`fan_out_iterations` puts the estimates back in iteration order.
+
+An :class:`IterationSpec` carries the problem in its *serialised*
+SMT-LIB form (terms are hash-consed and interned per process, so
+shipping the script text is the safe way to cross a process boundary)
+**plus its artifact digest**: the worker keys the per-process compile
+memo (:mod:`repro.compile.memo`) on the digest, so preprocessing +
+bit-blasting run at most once per (problem, params) per process and
+every chain clones the compiled snapshot — the compiled artifact, not
+the re-parsed script, is the unit of cross-process transfer.
+
+Every random draw of iteration ``i`` derives from ``SeedSequence(seed,
+..., f"iteration{i}")`` and a warm start only reorders index-pure
+probes, so the parallel median is bit-identical to the serial one.  The
+split into chains depends on ``jobs`` alone, and each chain starts from
+a fresh clone, so a fanned-out count's ``solver_calls`` and kernel
+counters repeat exactly for a fixed ``jobs``, on every backend.
 
 Workers memoise parsing per process keyed by that digest too; the
 orchestrator pre-seeds both memos with its own objects, so the serial
 and thread backends (and forked process children) never re-parse or
 re-compile at all.
-
-Workers also keep **per-worker warm-start chains**: the boundary found by
-the last iteration a worker ran (keyed by problem digest and counting
-parameters) seeds the next iteration's galloping search, mirroring the
-serial loop's previous-boundary warm start.  Sound for the same reason:
-the boundary is a pure function of the hash index, so the chain only
-changes probe order, never estimates — parallel runs stay bit-identical
-to serial ones.
 """
 
 from __future__ import annotations
@@ -37,9 +41,11 @@ import time
 from dataclasses import dataclass
 
 from repro.compile.memo import compile_digest as _digest
-from repro.engine.pool import Task
+from repro.engine.pool import Task, _classify
+from repro.errors import ResourceBudgetError, SolverTimeoutError
 from repro.sat.kernel import TELEMETRY
 from repro.status import Status
+from repro.utils.deadline import CooperativeDeadline, Deadline
 
 __all__ = ["IterationSpec", "fan_out_iterations", "iteration_tasks",
            "make_spec", "parse_cached", "preseed_parse_memo",
@@ -81,26 +87,6 @@ class IterationSpec:
 _PARSE_CAP = 64
 _parse_memo: dict[str, tuple[list, list]] = {}
 _parse_lock = threading.Lock()
-
-# Per-worker warm-start chains: (digest, algorithm, family, seed,
-# epsilon, delta) -> boundary of the last iteration finished here.  A
-# stale or shared hint (thread backend) is harmless — it only steers the
-# galloping search's first probe.  Bounded: hints are pure heuristics,
-# so a long-lived worker serving many distinct problems just drops them
-# all once the map fills rather than growing forever.
-_WARM_CAP = 512
-_warm_starts: dict[tuple, int] = {}
-
-
-def _warm_key(spec: IterationSpec) -> tuple:
-    return (spec.artifact_digest(), spec.algorithm, spec.family,
-            spec.seed, spec.epsilon, spec.delta)
-
-
-def _remember_warm(key: tuple, boundary: int) -> None:
-    if len(_warm_starts) >= _WARM_CAP and key not in _warm_starts:
-        _warm_starts.clear()
-    _warm_starts[key] = boundary
 
 
 def _remember_parse(key: str, parsed: tuple[list, list]) -> tuple:
@@ -149,136 +135,140 @@ def make_spec(algorithm: str, assertions, projection, *, epsilon: float,
 
 def iteration_tasks(algorithm: str, assertions, projection, *,
                     epsilon: float, delta: float, family: str, seed: int,
-                    num_iterations: int,
-                    deadline_at: float | None = None) -> list[Task]:
-    """One :class:`Task` per iteration, keyed by iteration index.
+                    num_iterations: int, jobs: int,
+                    deadline_at: float | None = None,
+                    cancel=None) -> list[Task]:
+    """``min(jobs, num_iterations)`` chain tasks, keyed by chain index:
+    chain ``w`` runs iterations ``w, w + jobs, ...`` in order.
 
-    ``deadline_at`` is the run's absolute monotonic deadline: the whole
-    batch shares it, so iterations dispatched late get only what is left
+    ``deadline_at`` is the run's absolute monotonic deadline: every
+    chain shares it, so a chain dispatched late gets only what is left
     of the counter's total timeout, exactly like the serial loop.
+    ``cancel`` is the caller's cancel token, for thread workers only (a
+    :class:`threading.Event` does not cross a process boundary).
     """
     spec = make_spec(algorithm, assertions, projection, epsilon=epsilon,
                      delta=delta, family=family, seed=seed)
-    return [Task(key=index, fn=_iteration_task, args=(spec, index),
+    chains = min(jobs, num_iterations)
+    return [Task(key=chain, fn=_chain_task,
+                 args=(spec, tuple(range(chain, num_iterations, chains)),
+                       cancel),
                  deadline_at=deadline_at)
-            for index in range(num_iterations)]
+            for chain in range(chains)]
 
 
 def fan_out_iterations(pool, algorithm: str, assertions, projection, *,
                        epsilon: float, delta: float, family: str,
                        seed: int, num_iterations: int, deadline, calls,
                        estimates: list) -> str | None:
-    """Run a counter's iterations across ``pool``, filling ``estimates``
-    in iteration order and aggregating oracle calls into ``calls``.
+    """Run a counter's iterations across ``pool`` as per-worker chains,
+    filling ``estimates`` in iteration order and aggregating oracle
+    calls into ``calls``.
 
-    Returns None when every iteration completed, the failure status
-    ("timeout"/"budget") when some did not, and re-raises any other
-    worker exception — mirroring the serial loop's semantics.
+    Every chain gets the time ``deadline`` has left.  On the thread
+    backend the cancel token of a :class:`CooperativeDeadline` reaches
+    every chain too; a process-backend chain is bounded by the time
+    left only.  Returns None when every chain completed, the failure
+    status ("timeout"/"budget") when some did not, and re-raises any
+    other worker exception — mirroring the serial loop's semantics.
     """
     remaining = deadline.remaining()
     deadline_at = (None if math.isinf(remaining)
                    else time.monotonic() + remaining)
+    cancel = (deadline.token if pool.backend == "thread"
+              and isinstance(deadline, CooperativeDeadline) else None)
     tasks = iteration_tasks(
         algorithm, assertions, projection, epsilon=epsilon, delta=delta,
         family=family, seed=seed, num_iterations=num_iterations,
-        deadline_at=deadline_at)
+        jobs=pool.jobs, deadline_at=deadline_at, cancel=cancel)
     status = None
-    for result in pool.run(tasks):
+    by_index: dict[int, int] = {}
+    for task, result in zip(tasks, pool.run(tasks)):
+        failed = result.status
         if result.ok:
-            estimates.append(result.value["estimate"])
-            calls.merge(result.value["solver_calls"],
-                        result.value["sat_answers"])
-        elif result.status in (Status.TIMEOUT, Status.BUDGET,
-                               Status.CANCELLED):
-            status = status or (Status.TIMEOUT
-                                if result.status is Status.CANCELLED
-                                else result.status)
-        else:
+            chain = result.value
+            by_index.update(zip(task.args[1], chain["estimates"]))
+            calls.merge(chain["solver_calls"], chain["sat_answers"])
+            if chain["stopped"] is not None:
+                failed = _classify(chain["stopped"])
+        elif failed not in (Status.TIMEOUT, Status.BUDGET,
+                            Status.CANCELLED):
             raise result.error
+        if failed is not Status.OK:
+            status = status or (Status.TIMEOUT
+                                if failed is Status.CANCELLED else failed)
+    estimates.extend(by_index[index] for index in sorted(by_index))
     return status
 
 
 def run_iteration(spec: IterationSpec, iteration_index: int,
                   budget: float | None = None) -> int:
-    """The pure unit of work: one iteration's estimate.
+    """The pure unit of work: one iteration's estimate, run as a
+    one-iteration chain.
 
     Deterministic in (spec, iteration_index); raises
     :class:`repro.errors.SolverTimeoutError` if ``budget`` seconds elapse
     first.
     """
-    return _iteration_task(spec, iteration_index,
-                           budget=budget)["estimate"]
+    chain = _chain_task(spec, (iteration_index,), budget=budget)
+    if chain["stopped"] is not None:
+        raise chain["stopped"]
+    return chain["estimates"][0]
 
 
-def _iteration_task(spec: IterationSpec, iteration_index: int,
-                    budget: float | None = None) -> dict:
-    """Worker body: estimate plus oracle-call accounting (picklable)."""
+def _chain_task(spec: IterationSpec, indices: tuple, cancel=None,
+                budget: float | None = None) -> dict:
+    """Worker body: one chain's estimates plus its oracle-call
+    accounting (picklable).  ``cancel`` (thread backend only) expires
+    the chain's deadline when set, like ``budget`` running out.  A
+    chain cut short keeps what it finished, as the serial loop does,
+    and returns its timeout or budget error under ``"stopped"``."""
     from repro.core.cells import CallCounter
-    from repro.utils.deadline import Deadline
+    from repro.core.search import run_chain
 
     assertions, projection = parse_cached(spec.script)
-    deadline = Deadline(budget)
+    deadline = (Deadline(budget) if cancel is None
+                else CooperativeDeadline(budget, cancel))
     calls = CallCounter()
-    if spec.algorithm == "pact":
-        estimate = _pact_iteration(assertions, projection, spec,
-                                   deadline, calls, iteration_index)
-    elif spec.algorithm == "cdm":
-        estimate = _cdm_iteration(assertions, projection, spec,
-                                  deadline, calls, iteration_index)
-    else:
-        raise ValueError(f"unknown algorithm {spec.algorithm!r}")
-    return {"estimate": estimate, "solver_calls": calls.solver_calls,
-            "sat_answers": calls.sat_answers}
-
-
-def _pact_iteration(assertions, projection, spec, deadline, calls,
-                    iteration_index: int) -> int:
-    from repro.core.config import PactConfig
-    from repro.core.constants import get_constants
-    from repro.core.pact import (
-        build_solver, iteration_estimate, max_hash_index,
-    )
-
-    config = PactConfig(epsilon=spec.epsilon, delta=spec.delta,
-                        family=spec.family, seed=spec.seed)
-    thresh, _, slice_width = get_constants(
-        config.epsilon, config.delta, config.family)
-    solver, flat_bits = build_solver(assertions, projection,
-                                     digest=spec.artifact_digest())
-    max_index = max_hash_index(projection, config.family, slice_width)
-    key = _warm_key(spec)
-    warm = _warm_starts.get(key, 1)
+    solver, iterate = _chain_solver(spec, assertions, projection,
+                                    deadline, calls)
+    estimates: list[int] = []
+    stopped = None
     try:
-        estimate, boundary = iteration_estimate(
-            solver, projection, flat_bits, config, thresh, slice_width,
-            max_index, deadline, calls, iteration_index, warm_start=warm)
+        run_chain(iterate, indices, estimates)
+    except (SolverTimeoutError, ResourceBudgetError) as error:
+        stopped = error
     finally:
-        # The worker's own solver: fold its kernel counters in, as
-        # pact_count does for the serial one (the pool ships a process
+        # The chain's own solver: fold its kernel counters in, as the
+        # counters do for the serial one (the pool ships a process
         # worker's telemetry delta home).
-        TELEMETRY.merge(solver.sat.stats, prefix="pact.")
-    _remember_warm(key, boundary)
-    return estimate
+        TELEMETRY.merge(solver.sat.stats, prefix=f"{spec.algorithm}.")
+    return {"estimates": estimates, "solver_calls": calls.solver_calls,
+            "sat_answers": calls.sat_answers, "stopped": stopped}
 
 
-def _cdm_iteration(assertions, projection, spec, deadline, calls,
-                   iteration_index: int) -> int:
-    from repro.core.cdm import (
-        build_cdm_solver, cdm_iteration_estimate, copy_count,
-    )
-    from repro.core.slicing import total_bits
-
-    copies = copy_count(spec.epsilon)
-    solver, flat_projection = build_cdm_solver(
-        assertions, projection, copies, digest=spec.artifact_digest())
-    max_index = total_bits(flat_projection)
-    key = _warm_key(spec)
-    warm = _warm_starts.get(key, 1)
-    try:
-        estimate, boundary = cdm_iteration_estimate(
-            solver, flat_projection, spec.seed, copies, max_index,
-            deadline, calls, iteration_index, warm_start=warm)
-    finally:
-        TELEMETRY.merge(solver.sat.stats, prefix="cdm.")
-    _remember_warm(key, boundary)
-    return estimate
+def _chain_solver(spec: IterationSpec, assertions, projection, deadline,
+                  calls):
+    """The chain's solver, cloned from the compiled artifact, and the
+    counter's iteration closure over it."""
+    digest = spec.artifact_digest()
+    if spec.algorithm == "pact":
+        from repro.core.config import PactConfig
+        from repro.core.pact import build_solver, iteration_step
+        config = PactConfig(epsilon=spec.epsilon, delta=spec.delta,
+                            family=spec.family, seed=spec.seed)
+        solver, flat_bits = build_solver(assertions, projection,
+                                         digest=digest)
+        return solver, iteration_step(solver, projection, flat_bits,
+                                      config, deadline, calls)
+    if spec.algorithm == "cdm":
+        from repro.core.cdm import (
+            build_cdm_solver, cdm_iteration_step, copy_count,
+        )
+        copies = copy_count(spec.epsilon)
+        solver, flat_projection = build_cdm_solver(
+            assertions, projection, copies, digest=digest)
+        return solver, cdm_iteration_step(solver, flat_projection,
+                                          spec.seed, copies, deadline,
+                                          calls)
+    raise ValueError(f"unknown algorithm {spec.algorithm!r}")

@@ -190,88 +190,6 @@ class ClauseDB:
         return self.num_clauses + len(self.xors)
 
     # ------------------------------------------------------------------
-    # assignment + propagation (driver-less compatibility face)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def assign(values, trail: list[int], lit: int) -> bool:
-        """Assert ``lit``; False on contradiction with the current value."""
-        var = lit if lit > 0 else -lit
-        want = TRUE_V if lit > 0 else FALSE_V
-        current = values[var]
-        if current != UNSET_V:
-            return current == want
-        values[var] = want
-        trail.append(var)
-        return True
-
-    def propagate(self, values, trail: list[int], start: int) -> bool:
-        """Unit-propagate from ``trail[start:]`` to fixpoint.
-
-        Implied assignments are appended to ``trail``; returns False on
-        conflict (the caller unwinds the trail either way).  After a
-        True return every unsatisfied clause and every open XOR row has
-        at least two unassigned variables.
-
-        This is the reason-less face of the kernel BCP, kept for
-        callers that only need a fixpoint (tests, one-shot checks);
-        :class:`ComponentDriver` runs the same loop with reason
-        recording and learnt-clause propagation layered on.
-        """
-        head = start
-        num_clauses = self.num_clauses
-        clauses = self.clauses
-        xors = self.xors
-        occ = self.occ
-        while head < len(trail):
-            var = trail[head]
-            head += 1
-            for cid in occ[var]:
-                if cid < num_clauses:
-                    unit = 0
-                    open_lits = 0
-                    satisfied = False
-                    for lit in clauses[cid]:
-                        value = values[lit] if lit > 0 else -values[-lit]
-                        if value == TRUE_V:
-                            satisfied = True
-                            break
-                        if value == UNSET_V:
-                            open_lits += 1
-                            if open_lits > 1:
-                                break
-                            unit = lit
-                    if satisfied or open_lits > 1:
-                        continue
-                    if open_lits == 0:
-                        return False
-                    if not self.assign(values, trail, unit):
-                        return False
-                else:
-                    variables, rhs = xors[cid - num_clauses]
-                    parity = rhs
-                    open_var = 0
-                    open_count = 0
-                    for v in variables:
-                        value = values[v]
-                        if value == UNSET_V:
-                            open_count += 1
-                            if open_count > 1:
-                                break
-                            open_var = v
-                        elif value == TRUE_V:
-                            parity = not parity
-                    if open_count > 1:
-                        continue
-                    if open_count == 0:
-                        if parity:
-                            return False
-                        continue
-                    lit = open_var if parity else -open_var
-                    if not self.assign(values, trail, lit):
-                        return False
-        return True
-
-    # ------------------------------------------------------------------
     # residuals
     # ------------------------------------------------------------------
     def residual(self, values, cid: int):
@@ -431,8 +349,10 @@ class ComponentDriver:
     """The component-splitting DPLL search driver over a :class:`ClauseDB`.
 
     Owns the counter-convention assignment state (``values`` in
-    ``+1/-1/0``, trail of variables) and runs the kernel BCP with two
-    additions over the compatibility face:
+    ``+1/-1/0``, trail of variables) and runs the kernel BCP over the
+    DB's occurrence lists (one visit per constraint of each newly
+    assigned variable; XOR rows propagate their last open variable),
+    with two additions:
 
     * **reason tracking** — every implied assignment records the
       constraint that forced it (a DB constraint id, or the literal
@@ -508,9 +428,10 @@ class ComponentDriver:
 
         Returns ``None`` on success, else the falsified clause as a
         literal tuple (every literal false under ``values``) — an
-        entailed clause suitable as the conflict antecedent.  Same
-        fixpoint as :meth:`ClauseDB.propagate` on the DB constraints;
-        learnt clauses are layered on after each DB-level fixpoint.
+        entailed clause suitable as the conflict antecedent.  After a
+        success every unsatisfied clause and every open XOR row has at
+        least two unassigned variables; learnt clauses are layered on
+        after each DB-level fixpoint.
         """
         values = self.values
         trail = self.trail

@@ -1,12 +1,13 @@
-"""SaturatingCounter and NextIndex (galloping search) tests."""
+"""SaturatingCounter, NextIndex (galloping search) and the iteration
+chain tests."""
 
 import threading
 
 import pytest
 
 from repro.core.cells import SATURATED, CallCounter, saturating_count
-from repro.core.search import find_boundary
-from repro.errors import CounterError
+from repro.core.search import find_boundary, run_chain
+from repro.errors import CounterError, SolverTimeoutError
 from repro.smt import (
     Equals, Implies, SmtSolver, bv_extract, bv_ult, bv_val, bv_var,
     real_gt, real_lt, real_val, real_var,
@@ -264,3 +265,57 @@ class TestFindBoundary:
     def test_empty_projection_cap_raises(self):
         with pytest.raises(CounterError):
             find_boundary(lambda i: 0, 1, 0)
+
+
+class TestRunChain:
+    def test_each_search_starts_at_the_previous_boundary(self):
+        starts = []
+
+        def iterate(index, warm_start):
+            starts.append((index, warm_start))
+            return 100 + index, 10 * index
+
+        estimates = [7]
+        run_chain(iterate, (3, 5, 9), estimates)
+        assert starts == [(3, 1), (5, 30), (9, 50)]
+        assert estimates == [7, 103, 105, 109]
+
+    def test_a_failing_iteration_keeps_the_finished_estimates(self):
+        def iterate(index, warm_start):
+            if index == 2:
+                raise SolverTimeoutError("budget spent")
+            return index, warm_start + 1
+
+        estimates = []
+        with pytest.raises(SolverTimeoutError):
+            run_chain(iterate, range(4), estimates)
+        assert estimates == [0, 1]
+
+    def test_warm_chain_finds_the_cold_boundaries_in_fewer_probes(self):
+        """find_boundary under run_chain: the same boundaries as a cold
+        start from 1 for every iteration, with fewer probes once the
+        boundaries sit deep and move little."""
+        boundaries = [41, 43, 40, 42]
+        profiles = [[99] * boundary + [4] + [1] * (64 - boundary)
+                    for boundary in boundaries]
+
+        def run(warm):
+            probes = []
+
+            def iterate(index, warm_start):
+                def count_at(hashes):
+                    probes.append(hashes)
+                    size = profiles[index][hashes]
+                    return size if size < 10 else SATURATED
+                found, _, _ = find_boundary(
+                    count_at, warm_start if warm else 1, 64)
+                return found, found
+
+            estimates = []
+            run_chain(iterate, range(len(profiles)), estimates)
+            return estimates, len(probes)
+
+        warm, warm_probes = run(True)
+        cold, cold_probes = run(False)
+        assert warm == cold == boundaries
+        assert warm_probes < cold_probes

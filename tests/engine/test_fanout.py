@@ -1,11 +1,142 @@
-"""The fan-out parse memo stays bounded, and eviction loses nothing."""
+"""The fan-out: per-worker chains whose counters repeat exactly, a
+caller's cancel token that reaches them, and a parse memo that stays
+bounded and loses nothing to eviction."""
 
 import sys
 import threading
 
-from repro.engine import fanout
-from repro.engine.fanout import make_spec, parse_cached
+import pytest
+
+from repro.api import CountRequest, Problem, Session
+from repro.core import PactConfig, count_projected, pact_count
+from repro.engine import ExecutionPool, fanout
+from repro.engine.fanout import iteration_tasks, make_spec, parse_cached
+from repro.sat.kernel import TELEMETRY
 from repro.smt import bv_ult, bv_val, bv_var
+from repro.status import Status
+from repro.utils.deadline import CooperativeDeadline
+
+# benchmarks/check_solver_calls.py's xor smoke formula and parameters.
+WIDTH = 10
+BOUND = (1 << WIDTH) - (1 << (WIDTH - 3))
+SEED = 9
+ITERATIONS = 3
+
+
+def _smoke_count(pool=None):
+    """(solver_calls, estimates, pact.* kernel-counter deltas)."""
+    x = bv_var("fan_repeat", WIDTH)
+    config = PactConfig(family="xor", seed=SEED,
+                        iteration_override=ITERATIONS)
+    before = TELEMETRY.snapshot()
+    result = pact_count([bv_ult(x, bv_val(BOUND, WIDTH))], [x], config,
+                        pool=pool)
+    after = TELEMETRY.snapshot()
+    kernel = {key: after[key] - before.get(key, 0) for key in after
+              if key.startswith("pact.")}
+    assert result.solved and not result.exact
+    return result.solver_calls, result.estimates, kernel
+
+
+def test_fanned_out_counters_repeat_on_every_backend():
+    """Chains are a pure function of (problem, parameters, jobs): one
+    problem counted again and again in one process gives the same
+    solver calls and kernel counters every time, on the thread and the
+    process backend, and the serial run's estimates."""
+    _, serial_estimates, _ = _smoke_count()
+    runs = [_smoke_count(ExecutionPool(2, "thread")) for _ in range(3)]
+    runs.append(_smoke_count(ExecutionPool(2, "process")))
+    calls, estimates, kernel = runs[0]
+    assert kernel["pact.solves"] == calls
+    for run in runs[1:]:
+        assert run == (calls, estimates, kernel)
+    assert estimates == serial_estimates
+
+
+def test_a_fanned_out_count_cut_short_reports_its_work():
+    """Like the serial loop, a chain that runs out of time keeps the
+    iterations it finished and the oracle calls it made: the count's
+    ``solver_calls`` match the kernel's solves, less at most the one
+    solve per chain that the deadline interrupted."""
+    x = bv_var("fan_cut", 14)
+    formula = [bv_ult(x, bv_val(9000, 14))], [x]
+    serial = count_projected(*formula, seed=SEED, iteration_override=40)
+    before = TELEMETRY.snapshot().get("pact.solves", 0)
+    cut = count_projected(*formula, seed=SEED, iteration_override=40,
+                          timeout=serial.time_seconds / 4,
+                          pool=ExecutionPool(2, "thread"))
+    solves = TELEMETRY.snapshot()["pact.solves"] - before
+    assert cut.status is Status.TIMEOUT
+    assert cut.iterations == len(cut.estimates) < 40
+    assert 0 <= solves - cut.solver_calls <= 2
+
+
+class _CancelAtDispatch(ExecutionPool):
+    """A thread pool that sets ``token`` as the counter hands it the
+    iteration chains: after the counter's own exact-count probe, before
+    any chain starts — whatever the speed of the machine."""
+
+    def __init__(self, token):
+        super().__init__(2, "thread")
+        self.token = token
+
+    def run(self, tasks, progress=None):
+        self.token.set()
+        return super().run(tasks, progress)
+
+
+@pytest.mark.parametrize("counter", ["pact:xor", "cdm"])
+def test_cancel_token_reaches_fanned_out_iterations(counter):
+    """A count under a caller's CooperativeDeadline (the serve drain,
+    or any Session.count(..., deadline=...)) stops when its token is
+    set, also once the iterations run on pool threads."""
+    width = WIDTH if counter == "pact:xor" else 5
+    x = bv_var(f"fan_cancel_{counter}", width)
+    problem = Problem.from_terms(
+        [bv_ult(x, bv_val((1 << width) - 3, width))], [x],
+        name="fan_cancel")
+    token = threading.Event()
+    session = Session(pool=_CancelAtDispatch(token))
+    response = session.count(
+        problem, CountRequest(counter=counter, seed=SEED),
+        deadline=CooperativeDeadline(None, token))
+    assert token.is_set()
+    assert response.status is Status.TIMEOUT
+    assert response.estimate is None
+
+
+@pytest.mark.parametrize("jobs, iterations, chains", [
+    (2, 5, [(0, 2, 4), (1, 3)]),
+    (4, 3, [(0,), (1,), (2,)]),
+    (1, 3, [(0, 1, 2)]),
+])
+def test_iterations_split_into_one_chain_per_worker(jobs, iterations,
+                                                    chains):
+    """``min(jobs, numIt)`` chains; chain w runs iterations w, w + jobs,
+    ... in order — a split fixed by ``jobs`` alone."""
+    x = bv_var("fan_split", 8)
+    tasks = iteration_tasks(
+        "pact", [bv_ult(x, bv_val(200, 8))], [x], epsilon=0.8, delta=0.2,
+        family="xor", seed=SEED, num_iterations=iterations, jobs=jobs)
+    assert [task.key for task in tasks] == list(range(len(chains)))
+    assert [task.args[1] for task in tasks] == chains
+
+
+def test_process_chains_run_under_a_cooperative_deadline():
+    """A cancel token cannot cross a process boundary: a process-backend
+    count under a CooperativeDeadline runs its chains bounded by the
+    time left alone, and gives the serial estimate."""
+    x = bv_var("fan_process_token", WIDTH)
+    problem = Problem.from_terms([bv_ult(x, bv_val(BOUND, WIDTH))], [x],
+                                 name="fan_process_token")
+    request = CountRequest(counter="pact:xor", seed=SEED,
+                           iteration_override=ITERATIONS)
+    serial = Session().count(problem, request)
+    response = Session(pool=ExecutionPool(2, "process")).count(
+        problem, request,
+        deadline=CooperativeDeadline(None, threading.Event()))
+    assert response.status is Status.OK
+    assert response.estimate == serial.estimate
 
 
 def test_parse_memo_evicts_oldest_first_at_the_cap(monkeypatch):

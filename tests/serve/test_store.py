@@ -50,6 +50,17 @@ class TestResultStoreContract:
         first.close()
         second.close()
 
+    def test_flush_without_changes_writes_nothing(self, tmp_path):
+        """Rows are durable at put time: an unbounded flush issues no
+        write, so an all-hit run leaves the database untouched."""
+        store = SqliteStore(tmp_path / "store.sqlite")
+        store.put("fp1", PAYLOAD)
+        assert store.get("fp1") is not None
+        writes = store._conn.total_changes
+        store.flush()
+        assert store._conn.total_changes == writes
+        store.close()
+
     def test_merge_on_write_preserves_first_saved_at(self, tmp_path):
         store = SqliteStore(tmp_path / "store.sqlite")
         store.put("fp1", dict(PAYLOAD))
@@ -87,6 +98,30 @@ class TestResultStoreContract:
         store.flush()
         assert store.get("fp0") is not None   # survived: recently hit
         assert store.get("fp1") is None       # evicted instead
+        store.close()
+
+    def test_recency_survives_reload(self, tmp_path):
+        path = tmp_path / "store.sqlite"
+        first = SqliteStore(path, max_entries=10)
+        first.put("a", PAYLOAD)
+        first.put("b", PAYLOAD)
+        first.get("a")     # a is now more recent than b
+        first.close()
+        second = SqliteStore(path, max_entries=2)
+        second.put("c", PAYLOAD)
+        second.flush()
+        assert len(second) == 2
+        assert second.get("b") is None
+        assert second.get("a") is not None
+        second.close()
+
+    def test_unbounded_by_default(self, tmp_path):
+        store = SqliteStore(tmp_path / "store.sqlite")
+        for n in range(50):
+            store.put(f"fp{n}", PAYLOAD)
+        store.flush()
+        assert len(store) == 50
+        assert store.evictions == 0
         store.close()
 
     def test_corrupt_row_reads_as_miss(self, tmp_path):
@@ -130,6 +165,15 @@ class TestResultStoreContract:
         with SqliteStore(tmp_path / "store.sqlite") as fresh:
             assert fresh.get("fp1") is not None
 
+    def test_context_manager_flushes_the_bound(self, tmp_path):
+        path = tmp_path / "store.sqlite"
+        with SqliteStore(path, max_entries=1) as store:
+            store.put("fp1", PAYLOAD)
+            store.put("fp2", dict(PAYLOAD, estimate=9))
+        with SqliteStore(path) as reopened:
+            assert len(reopened) == 1
+            assert reopened.get("fp2")["estimate"] == 9
+
 
 class TestArtifacts:
     def test_round_trip_lands_in_the_simplified_row(self, tmp_path):
@@ -156,8 +200,20 @@ class TestArtifacts:
         for n in range(4):
             store.put_artifact(f"d{n}", {"n": n})
         assert store.artifact_evictions == 2
+        assert store.evictions == 0   # result-row evictions stay separate
         assert not store.has_artifact("d0")
         assert store.has_artifact("d3")
+        store.close()
+
+    def test_corrupt_artifact_reads_as_miss(self, tmp_path):
+        store = SqliteStore(tmp_path / "store.sqlite")
+        with sqlite3.connect(store.path) as conn:
+            conn.executemany(
+                "INSERT INTO artifacts VALUES (?, 1, ?, 1.0)",
+                [("bad", "{broken"), ("list", "[1, 2]")])
+        assert store.get_artifact("bad") is None
+        assert store.get_artifact("list") is None
+        assert store.artifact_misses == 2
         store.close()
 
 
@@ -178,6 +234,20 @@ class TestOpenStore:
             assert expected.is_file()
             session.cache.close()
 
+    def test_stray_pact_cache_json_is_left_untouched(self, tmp_path):
+        """A (torn) ``pact-cache.json`` left by an earlier version in the
+        store's directory is never read: the store starts empty, and the
+        file stays as it was."""
+        legacy = tmp_path / "pact-cache.json"
+        legacy.write_text("{not json!!")
+        store = SqliteStore(database_path(tmp_path))
+        assert store.get("fp1") is None
+        store.put("fp1", PAYLOAD)
+        store.close()
+        with SqliteStore(database_path(tmp_path)) as reopened:
+            assert reopened.get("fp1")["estimate"] == 20
+        assert legacy.read_text() == "{not json!!"
+
 
 class TestConcurrency:
     def test_two_instances_share_one_file(self, tmp_path):
@@ -192,6 +262,16 @@ class TestConcurrency:
         assert len(first) == len(second) == 2
         first.close()
         second.close()
+
+    def test_conflicting_fingerprint_later_writer_wins(self, tmp_path):
+        path = tmp_path / "store.sqlite"
+        first, second = SqliteStore(path), SqliteStore(path)
+        first.put("fp", dict(PAYLOAD, estimate=1))
+        second.put("fp", dict(PAYLOAD, estimate=2))
+        first.close()
+        second.close()
+        with SqliteStore(path) as merged:
+            assert merged.get("fp")["estimate"] == 2
 
     def test_threaded_writers_lose_nothing(self, tmp_path):
         store = SqliteStore(tmp_path / "store.sqlite")
@@ -216,6 +296,33 @@ class TestConcurrency:
         assert len(store) == 150
         assert store.hits == 150
         store.close()
+
+    def test_threaded_put_flush_on_one_instance(self, tmp_path):
+        """The serving layer's workers share one store instance; puts
+        and flushes from many threads must not lose rows or crash."""
+        path = tmp_path / "store.sqlite"
+        store = SqliteStore(path)
+        errors = []
+
+        def hammer(base):
+            try:
+                for n in range(20):
+                    store.put(f"fp-{base}-{n}", PAYLOAD)
+                    if n % 5 == 0:
+                        store.flush()
+            except Exception as error:  # noqa: BLE001
+                errors.append(error)
+
+        threads = [threading.Thread(target=hammer, args=(t,))
+                   for t in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        store.close()
+        assert not errors
+        with SqliteStore(path) as reread:
+            assert len(reread) == 160
 
 
 class TestDifferential:
