@@ -13,9 +13,11 @@ kernel (``repro.sat.kernel``) on the same smoke formula:
 * the pact family rows and the ``cdm`` row drive the CDCL driver
   (watched literals, XOR rows, push/pop ladder frames);
 * the ``xor:j2`` row runs the ``xor`` row's formula fanned out over a
-  2-worker thread pool: two iteration chains, each on its own cloned
-  solver, so its columns are a pure function of (problem, parameters,
-  ``jobs``) — and its estimate is gated against the serial row's;
+  2-worker process pool, the one backend that splits a count's
+  iterations: two iteration chains, each on its own cloned solver, so
+  its columns are a pure function of (problem, parameters, ``jobs``) —
+  and its estimate is gated against the serial row's (a thread pool
+  runs the serial chain and would repeat the ``xor`` row);
 * the ``enum`` row drives the CDCL driver's projected-model
   enumeration alone (no hash frames, one block per model), and its
   count must stay exact;
@@ -99,13 +101,14 @@ def measure() -> dict:
                            **_kernel_delta(before, "pact.")}
     # The fan-out row: the xor row's formula, its iterations split into
     # per-worker chains (iterations 0 and 2 on one solver, 1 on the
-    # other).
+    # other) over worker processes; the pool ships their kernel
+    # counters home.
     x = bv_var("ci_xor_j2", WIDTH)
     config = PactConfig(family="xor", seed=SEED,
                         iteration_override=ITERATIONS, timeout=300)
     before = TELEMETRY.snapshot()
     fanned = pact_count([bv_ult(x, bv_val(bound, WIDTH))], [x], config,
-                        pool=ExecutionPool(jobs=2, backend="thread"))
+                        pool=ExecutionPool(jobs=2, backend="process"))
     assert fanned.solved, "xor:j2: smoke instance did not solve"
     assert fanned.estimate == results["xor"]["estimate"], (
         f"xor:j2 diverged from serial: {fanned.estimate} != "

@@ -6,7 +6,7 @@ optional result store (:class:`repro.serve.store.SqliteStore`) behind
 three verbs:
 
 * :meth:`Session.count` — one problem, one counter (iteration fan-out
-  when the pool is parallel);
+  when the pool is a process pool with ``jobs > 1``);
 * :meth:`Session.count_batch` — many problems through the engine with the
   fingerprint cache consulted per problem, responses in input order on
   every backend;
@@ -179,9 +179,10 @@ class Session:
               *, progress=None, deadline=None, **overrides) -> CountResponse:
         """Count one problem with one counter.
 
-        When the session pool is parallel the counter's independent
-        median iterations fan out across it (bit-identical to serial).
-        ``deadline`` (a :class:`~repro.utils.deadline.Deadline`, e.g. a
+        On a process pool with ``jobs > 1`` the counter's median
+        iterations fan out across it (bit-identical to serial); a
+        thread pool runs them as ``jobs=1`` does.  ``deadline`` (a
+        :class:`~repro.utils.deadline.Deadline`, e.g. a
         :class:`~repro.utils.deadline.CooperativeDeadline` sharing a
         cancel token) is forwarded to the counter so an external front —
         the serving layer's drain path — can cut the run short.

@@ -382,7 +382,8 @@ def _add_engine_arguments(parser, cache: bool = True) -> None:
                         help="worker count (0 = one per CPU)")
     parser.add_argument("--backend", default=None,
                         choices=["serial", "thread", "process"],
-                        help="pool backend (default: process when jobs>1)")
+                        help="pool backend (default: process when jobs>1;"
+                             " only processes split a count's iterations)")
     if cache:
         parser.add_argument("--cache-dir", default=None,
                             help="fingerprint result cache: a "

@@ -21,7 +21,7 @@ The q-fold formula size increase is why CDM times out where pact does not
 
 Like pact, iterations are independent: every random draw of iteration
 ``i`` comes from ``SeedSequence(seed, "cdm").child(f"iteration{i}")``, so
-the iterations can run serially or fan out across an
+the iterations can run serially or fan out across a process
 :class:`repro.engine.pool.ExecutionPool` with bit-identical estimates.
 The boundary search probes through an incremental
 :class:`repro.core.ladder.HashLadder` and, in both paths'
@@ -211,7 +211,7 @@ def cdm_count(assertions, projection: list[Term], epsilon: float = 0.8,
     """Approximate projected counting with the CDM construction.
 
     ``pool`` is an optional :class:`repro.engine.pool.ExecutionPool`;
-    when parallel, the median repetitions fan out across its workers.
+    when ``cpu_parallel``, the median repetitions fan out across its workers.
     ``deadline`` optionally replaces the ``timeout``-derived deadline
     with an external (possibly cancellable) one, like ``pact_count``'s.
     """
@@ -251,7 +251,7 @@ def cdm_count(assertions, projection: list[Term], epsilon: float = 0.8,
             # Exact count of N^q; N is its exact integer q-th root.
             return finish(_integer_root(initial, copies), exact=True)
 
-        if pool is not None and pool.parallel and iterations > 1:
+        if pool is not None and pool.cpu_parallel and iterations > 1:
             from repro.engine.fanout import fan_out_iterations
             status = fan_out_iterations(
                 pool, "cdm", assertions, projection, epsilon=epsilon,

@@ -11,10 +11,10 @@ random choice from ``SeedSequence(seed, "pact/<family>").child(f"iteration{i}")`
 so the estimate of one iteration never depends on another.  That
 independence is the determinism contract of the engine subsystem (see
 DESIGN.md): running the iterations serially on one shared solver, or
-fanned out across threads or processes as one chain per worker,
-produces bit-identical per-iteration estimates — cell counts are exact
-and every random draw is a pure function of (seed, family, iteration
-index).
+fanned out across processes as one chain per worker, produces
+bit-identical per-iteration estimates — cell counts are exact and every
+random draw is a pure function of (seed, family, iteration index).  A
+thread pool runs the serial chain: under the GIL it cannot run two.
 
 Both paths run :func:`repro.core.search.run_chain` over
 :func:`iteration_step`, so each boundary search warm-starts from the
@@ -184,8 +184,8 @@ def pact_count(assertions: list[Term], projection: list[Term],
     """Run pact on ``assertions`` with projection set ``projection``.
 
     ``pool`` is an optional :class:`repro.engine.pool.ExecutionPool`;
-    when it is parallel the numIt iterations fan out across its workers
-    (bit-identical to the serial run, see :func:`iteration_estimate`).
+    when it is ``cpu_parallel`` the numIt iterations fan out across its
+    workers (bit-identical to the serial run, see :func:`iteration_estimate`).
     ``digest`` is an optional precomputed compile digest (the API layer
     passes :attr:`repro.api.Problem.compile_key`) so the memo lookup
     skips re-serialising the formula.
@@ -235,7 +235,7 @@ def pact_count(assertions: list[Term], projection: list[Term],
         if initial is not SATURATED:
             return finish(initial, exact=True)
 
-        if pool is not None and pool.parallel and num_iterations > 1:
+        if pool is not None and pool.cpu_parallel and num_iterations > 1:
             from repro.engine.fanout import fan_out_iterations
             status = fan_out_iterations(
                 pool, "pact", assertions, projection,

@@ -6,7 +6,7 @@ Everything concurrent lives here, behind three seams:
   serial / thread / process backends with per-task deadlines, graceful
   cancellation and per-worker accounting;
 * :mod:`repro.engine.fanout` — counting-iteration fan-out: a
-  pact/CDM count's iterations as one picklable chain per worker, run
+  pact/CDM count's iterations as one picklable chain per process, run
   through the serial loop's code, so the parallel median is
   bit-identical to the serial run;
 * :mod:`repro.engine.scheduler` — the evaluation-matrix scheduler:

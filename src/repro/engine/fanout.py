@@ -1,8 +1,9 @@
 """Iteration fan-out: a counter's iterations as per-worker chains.
 
 Both counters take a median over numIt independent iterations
-(Algorithm 1 line 15).  The fan-out splits them into ``min(jobs,
-numIt)`` chains — chain ``w`` runs iterations ``w, w + jobs, ...`` — and
+(Algorithm 1 line 15).  The counters fan out only over a process pool
+(``cpu_parallel``), splitting them into ``min(jobs, numIt)`` chains —
+chain ``w`` runs iterations ``w, w + jobs, ...`` — and
 each chain is one picklable task: it builds one solver and runs its
 iterations through :func:`repro.core.search.run_chain` with the
 counter's own iteration closure (:func:`repro.core.pact.iteration_step`,
@@ -25,12 +26,13 @@ Every random draw of iteration ``i`` derives from ``SeedSequence(seed,
 probes, so the parallel median is bit-identical to the serial one.  The
 split into chains depends on ``jobs`` alone, and each chain starts from
 a fresh clone, so a fanned-out count's ``solver_calls`` and kernel
-counters repeat exactly for a fixed ``jobs``, on every backend.
+counters repeat exactly for a fixed ``jobs``.  A lost worker ends the
+count in a :class:`repro.errors.CounterError`, never in a median over
+the chains that survived.
 
 Workers memoise parsing per process keyed by that digest too; the
-orchestrator pre-seeds both memos with its own objects, so the serial
-and thread backends (and forked process children) never re-parse or
-re-compile at all.
+orchestrator pre-seeds both memos with its own objects, so forked
+children never re-parse or re-compile at all.
 """
 
 from __future__ import annotations
@@ -42,10 +44,10 @@ from dataclasses import dataclass
 
 from repro.compile.memo import compile_digest as _digest
 from repro.engine.pool import Task, _classify
-from repro.errors import ResourceBudgetError, SolverTimeoutError
+from repro.errors import CounterError, ResourceBudgetError, SolverTimeoutError
 from repro.sat.kernel import TELEMETRY
 from repro.status import Status
-from repro.utils.deadline import CooperativeDeadline, Deadline
+from repro.utils.deadline import Deadline
 
 __all__ = ["IterationSpec", "fan_out_iterations", "iteration_tasks",
            "make_spec", "parse_cached", "preseed_parse_memo",
@@ -136,23 +138,19 @@ def make_spec(algorithm: str, assertions, projection, *, epsilon: float,
 def iteration_tasks(algorithm: str, assertions, projection, *,
                     epsilon: float, delta: float, family: str, seed: int,
                     num_iterations: int, jobs: int,
-                    deadline_at: float | None = None,
-                    cancel=None) -> list[Task]:
+                    deadline_at: float | None = None) -> list[Task]:
     """``min(jobs, num_iterations)`` chain tasks, keyed by chain index:
     chain ``w`` runs iterations ``w, w + jobs, ...`` in order.
 
     ``deadline_at`` is the run's absolute monotonic deadline: every
     chain shares it, so a chain dispatched late gets only what is left
     of the counter's total timeout, exactly like the serial loop.
-    ``cancel`` is the caller's cancel token, for thread workers only (a
-    :class:`threading.Event` does not cross a process boundary).
     """
     spec = make_spec(algorithm, assertions, projection, epsilon=epsilon,
                      delta=delta, family=family, seed=seed)
     chains = min(jobs, num_iterations)
     return [Task(key=chain, fn=_chain_task,
-                 args=(spec, tuple(range(chain, num_iterations, chains)),
-                       cancel),
+                 args=(spec, tuple(range(chain, num_iterations, chains))),
                  deadline_at=deadline_at)
             for chain in range(chains)]
 
@@ -165,22 +163,19 @@ def fan_out_iterations(pool, algorithm: str, assertions, projection, *,
     filling ``estimates`` in iteration order and aggregating oracle
     calls into ``calls``.
 
-    Every chain gets the time ``deadline`` has left.  On the thread
-    backend the cancel token of a :class:`CooperativeDeadline` reaches
-    every chain too; a process-backend chain is bounded by the time
-    left only.  Returns None when every chain completed, the failure
-    status ("timeout"/"budget") when some did not, and re-raises any
-    other worker exception — mirroring the serial loop's semantics.
+    Every chain gets the time ``deadline`` has left.  Returns None when
+    every chain completed, the failure status ("timeout"/"budget") when
+    some did not, raises :class:`CounterError` for a lost worker, and
+    re-raises any other worker exception — mirroring the serial loop's
+    semantics.
     """
     remaining = deadline.remaining()
     deadline_at = (None if math.isinf(remaining)
                    else time.monotonic() + remaining)
-    cancel = (deadline.token if pool.backend == "thread"
-              and isinstance(deadline, CooperativeDeadline) else None)
     tasks = iteration_tasks(
         algorithm, assertions, projection, epsilon=epsilon, delta=delta,
         family=family, seed=seed, num_iterations=num_iterations,
-        jobs=pool.jobs, deadline_at=deadline_at, cancel=cancel)
+        jobs=pool.jobs, deadline_at=deadline_at)
     status = None
     by_index: dict[int, int] = {}
     for task, result in zip(tasks, pool.run(tasks)):
@@ -191,12 +186,15 @@ def fan_out_iterations(pool, algorithm: str, assertions, projection, *,
             calls.merge(chain["solver_calls"], chain["sat_answers"])
             if chain["stopped"] is not None:
                 failed = _classify(chain["stopped"])
-        elif failed not in (Status.TIMEOUT, Status.BUDGET,
-                            Status.CANCELLED):
+        elif result.worker == f"{pool.backend}-lost":
+            raise CounterError(
+                f"{result.worker} worker running iteration chain "
+                f"{task.key}: {type(result.error).__name__}: "
+                f"{result.error}")
+        elif failed is Status.ERROR:
             raise result.error
         if failed is not Status.OK:
-            status = status or (Status.TIMEOUT
-                                if failed is Status.CANCELLED else failed)
+            status = status or failed
     estimates.extend(by_index[index] for index in sorted(by_index))
     return status
 
@@ -216,19 +214,17 @@ def run_iteration(spec: IterationSpec, iteration_index: int,
     return chain["estimates"][0]
 
 
-def _chain_task(spec: IterationSpec, indices: tuple, cancel=None,
+def _chain_task(spec: IterationSpec, indices: tuple,
                 budget: float | None = None) -> dict:
     """Worker body: one chain's estimates plus its oracle-call
-    accounting (picklable).  ``cancel`` (thread backend only) expires
-    the chain's deadline when set, like ``budget`` running out.  A
-    chain cut short keeps what it finished, as the serial loop does,
-    and returns its timeout or budget error under ``"stopped"``."""
+    accounting (picklable).  A chain cut short keeps what it finished,
+    as the serial loop does, and returns its timeout or budget error
+    under ``"stopped"``."""
     from repro.core.cells import CallCounter
     from repro.core.search import run_chain
 
     assertions, projection = parse_cached(spec.script)
-    deadline = (Deadline(budget) if cancel is None
-                else CooperativeDeadline(budget, cancel))
+    deadline = Deadline(budget)
     calls = CallCounter()
     solver, iterate = _chain_solver(spec, assertions, projection,
                                     deadline, calls)

@@ -1,8 +1,9 @@
 """The execution pool: one API over serial / thread / process backends.
 
 Every concurrent activity in the reproduction — iteration fan-out inside
-the counters, (configuration, instance) slot dispatch in the harness —
-goes through :class:`ExecutionPool` so that backend choice, per-task
+the counters (over a :attr:`~ExecutionPool.cpu_parallel` pool only),
+(configuration, instance) slot dispatch in the harness, portfolio races
+— goes through :class:`ExecutionPool` so that backend choice, per-task
 deadlines, progress reporting and worker accounting live in one place.
 
 Design notes:
@@ -166,8 +167,8 @@ class ExecutionPool:
 
     ``jobs <= 0`` means "one per CPU".  The default backend is "serial"
     for one job and "process" otherwise (the only backend that buys
-    CPU-bound speedup under the GIL); "thread" is available for
-    determinism testing and IO-bound work.
+    CPU-bound speedup under the GIL); "thread" serves portfolio races
+    (a cancel token reaches its workers), batches and tests.
     """
 
     def __init__(self, jobs: int = 1, backend: str | None = None):
@@ -186,6 +187,11 @@ class ExecutionPool:
     @property
     def parallel(self) -> bool:
         return self.backend != "serial" and self.jobs > 1
+
+    @property
+    def cpu_parallel(self) -> bool:
+        """Only processes run Python at the same time."""
+        return self.backend == "process" and self.jobs > 1
 
     def map(self, fn: Callable, args_list: Sequence[tuple],
             budget: float | None = None, progress=None) -> list[TaskResult]:

@@ -23,10 +23,10 @@ from repro.smt.sorts import (
     ArraySort, BitVecSort, FloatSortClass, FunctionSort, Sort,
 )
 from repro.smt.terms import (
-    And, Equals, FALSE, Ite, Not, Or, TRUE, Term, apply_uf, array_var,
-    bool_var, bv_add, bv_concat, bv_extract, bv_lshr, bv_mul, bv_neg,
-    bv_shl, bv_sub, bv_ult, bv_val, bv_var, bv_zero_extend, select, store,
-    uf, _mk,
+    And, Distinct, Equals, FALSE, Iff, Ite, Not, Or, TRUE, Term, Xor,
+    apply_uf, array_var, bool_var, bv_add, bv_concat, bv_extract, bv_lshr,
+    bv_mul, bv_neg, bv_shl, bv_slt, bv_sub, bv_ule, bv_ult, bv_val, bv_var,
+    bv_xor, bv_zero_extend, select, store, uf, _mk,
 )
 
 
@@ -58,11 +58,25 @@ class _Format:
         self.we = (4 * (self.bias + 2 * self.sb) + 8).bit_length() + 2
 
 
+def _per_operand(helper):
+    """Memoise ``helper(self, fmt, x)`` in the encoder by (helper, format,
+    operand): an operand's fields and predicates are built once, not once
+    per FP operation that uses them."""
+    def memoised(self, fmt: _Format, x: Term) -> Term:
+        key = (helper, fmt.eb, fmt.sb, x)
+        term = self._operand_terms.get(key)
+        if term is None:
+            term = self._operand_terms[key] = helper(self, fmt, x)
+        return term
+    return memoised
+
+
 class FpEncoder:
     """Translates whole term DAGs, eliminating the FP theory."""
 
     def __init__(self):
         self._cache: dict[Term, Term] = {}
+        self._operand_terms: dict[tuple, Term] = {}  # see _per_operand
         # original FP/array/function variable -> converted variable
         self.var_map: dict[Term, Term] = {}
 
@@ -137,7 +151,6 @@ class FpEncoder:
         if op == Op.EQ:
             return Equals(args[0], args[1])
         if op == Op.DISTINCT:
-            from repro.smt.terms import Distinct
             return Distinct(*args)
         # remaining operators keep their sorts; rebuild generically
         return _mk(op, args, node.sort, node.payload, node.params)
@@ -192,18 +205,20 @@ class FpEncoder:
         raise UnsupportedFeatureError(f"FP operator {op} not encodable")
 
     # ---- field helpers -------------------------------------------------
-    def _sign_bit(self, fmt: _Format, x: Term) -> Term:
-        return bv_extract(x, fmt.width - 1, fmt.width - 1)
-
+    @_per_operand
     def _sign(self, fmt: _Format, x: Term) -> Term:
-        return Equals(self._sign_bit(fmt, x), bv_val(1, 1))
+        return Equals(bv_extract(x, fmt.width - 1, fmt.width - 1),
+                      bv_val(1, 1))
 
+    @_per_operand
     def _efield(self, fmt: _Format, x: Term) -> Term:
         return bv_extract(x, fmt.width - 2, fmt.mbits)
 
+    @_per_operand
     def _mfield(self, fmt: _Format, x: Term) -> Term:
         return bv_extract(x, fmt.mbits - 1, 0)
 
+    @_per_operand
     def _magnitude(self, fmt: _Format, x: Term) -> Term:
         """exponent:mantissa as an unsigned key (IEEE ordering trick)."""
         return bv_extract(x, fmt.width - 2, 0)
@@ -211,6 +226,7 @@ class FpEncoder:
     def _eones(self, fmt: _Format) -> Term:
         return bv_val((1 << fmt.eb) - 1, fmt.eb)
 
+    @_per_operand
     def _is_nan(self, fmt: _Format, x: Term) -> Term:
         return And(Equals(self._efield(fmt, x), self._eones(fmt)),
                    self._mfield(fmt, x).neq(bv_val(0, fmt.mbits)))
@@ -219,11 +235,11 @@ class FpEncoder:
         return And(Equals(self._efield(fmt, x), self._eones(fmt)),
                    Equals(self._mfield(fmt, x), bv_val(0, fmt.mbits)))
 
+    @_per_operand
     def _is_zero(self, fmt: _Format, x: Term) -> Term:
         return Equals(self._magnitude(fmt, x), bv_val(0, fmt.width - 1))
 
     def _negate(self, fmt: _Format, x: Term) -> Term:
-        from repro.smt.terms import bv_xor
         return bv_xor(x, bv_val(1 << (fmt.width - 1), fmt.width))
 
     def _nan_const(self, fmt: _Format) -> Term:
@@ -309,15 +325,10 @@ class FpEncoder:
             result = Ite(bit, bv_val(i, we), result)
         return result
 
-    def _slt_const(self, a: Term, value: int, we: int) -> Term:
-        from repro.smt.terms import bv_slt
-        return bv_slt(a, self._signed_const(value, we))
-
     # ---- generic round-and-pack circuit ------------------------------------
     def _round_pack(self, fmt: _Format, sign: Term, lsb_exp: Term,
                     sig: Term) -> Term:
         """Round (-1)^sign * sig * 2^lsb_exp (exact) to the format, RNE."""
-        from repro.smt.terms import bv_slt
         we = fmt.we
         sb = fmt.sb
         n = sig.width
@@ -396,7 +407,6 @@ class FpEncoder:
 
     # ---- addition -----------------------------------------------------------
     def _add(self, fmt: _Format, a: Term, b: Term) -> Term:
-        from repro.smt.terms import bv_slt, bv_ule
         we = fmt.we
         sb = fmt.sb
         offset = sb + 3
@@ -425,7 +435,7 @@ class FpEncoder:
                 bv_val(0, wide_width)),
             bv_lshr(small_wide, self._trunc_or_extend(d, wide_width)))
 
-        same_sign = Iff_bool(sign_big, sign_small)
+        same_sign = Iff(sign_big, sign_small)
         total_same = bv_add(big_wide, small_shifted)
         big_geq = bv_ule(small_shifted, big_wide)
         diff_big = bv_sub(big_wide, small_shifted)
@@ -445,7 +455,7 @@ class FpEncoder:
         nan_case = Or(
             self._is_nan(fmt, a), self._is_nan(fmt, b),
             And(self._is_inf(fmt, a), self._is_inf(fmt, b),
-                Xor_bool(self._sign(fmt, a), self._sign(fmt, b))))
+                Xor(self._sign(fmt, a), self._sign(fmt, b))))
         both_neg_zero = And(self._is_zero(fmt, a), self._is_zero(fmt, b),
                             self._sign(fmt, a), self._sign(fmt, b))
         result = Ite(
@@ -464,7 +474,7 @@ class FpEncoder:
 
         sa, ea, siga = self._decompose(fmt, a)
         sb_sign, eb_, sigb = self._decompose(fmt, b)
-        sign = Xor_bool(sa, sb_sign)
+        sign = Xor(sa, sb_sign)
 
         product = bv_mul(bv_zero_extend(siga, sb),
                          bv_zero_extend(sigb, sb))
@@ -482,13 +492,3 @@ class FpEncoder:
             Ite(inf_case,
                 Ite(sign, self._inf_const(fmt, 1), self._inf_const(fmt, 0)),
                 Ite(zero_case, self._zero_of(fmt, sign), general)))
-
-
-def Iff_bool(a: Term, b: Term) -> Term:
-    from repro.smt.terms import Iff
-    return Iff(a, b)
-
-
-def Xor_bool(a: Term, b: Term) -> Term:
-    from repro.smt.terms import Xor
-    return Xor(a, b)

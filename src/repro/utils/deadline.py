@@ -66,11 +66,6 @@ class CooperativeDeadline(Deadline):
         super().__init__(seconds)
         self._token = token
 
-    @property
-    def token(self):
-        """The shared cancel token."""
-        return self._token
-
     def expired(self) -> bool:
         return self._token.is_set() or super().expired()
 

@@ -105,7 +105,7 @@ class TestBitIdenticalEstimates:
         config = _config("xor")
         serial = pact_count(formula, projection, config)
         fanned = pact_count(formula, projection, config,
-                            pool=ExecutionPool(2, "thread"))
+                            pool=ExecutionPool(2, "process"))
         assert fanned.estimates == serial.estimates
 
     def test_cdm_ladder_matches_known_count(self):

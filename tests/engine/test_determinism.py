@@ -3,8 +3,8 @@ serial runs for the same seed (satellite of the paper's (eps, delta)
 guarantee — the median is only meaningful if the iterations it is taken
 over do not depend on scheduling).
 
-Thread workers share the orchestrator's interned terms; process workers
-re-parse the serialised script in a fresh interpreter state — both must
+A thread pool runs the serial chain on the orchestrator's own solver;
+process workers run per-worker chains on cloned solvers — both must
 reproduce the serial per-iteration estimates exactly, for all three pact
 hash families and for CDM.
 """
@@ -50,7 +50,7 @@ def test_cdm_parallel_matches_serial():
                        iteration_override=2)
     parallel = cdm_count(assertions, projection, seed=SEED,
                          iteration_override=2,
-                         pool=ExecutionPool(2, "thread"))
+                         pool=ExecutionPool(2, "process"))
     assert serial.estimates == parallel.estimates
     assert serial.estimate == parallel.estimate
 

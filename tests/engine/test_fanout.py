@@ -1,7 +1,11 @@
-"""The fan-out: per-worker chains whose counters repeat exactly, a
-caller's cancel token that reaches them, and a parse memo that stays
-bounded and loses nothing to eviction."""
+"""The fan-out: per-worker process chains whose counters repeat
+exactly, a thread pool that does the serial count's work, a caller's
+cancel token that stops a count, a lost worker that ends it in an error,
+and a parse memo that stays bounded and loses nothing to eviction."""
 
+import multiprocessing
+import os
+import signal
 import sys
 import threading
 
@@ -9,6 +13,7 @@ import pytest
 
 from repro.api import CountRequest, Problem, Session
 from repro.core import PactConfig, count_projected, pact_count
+from repro.core.search import run_chain
 from repro.engine import ExecutionPool, fanout
 from repro.engine.fanout import iteration_tasks, make_spec, parse_cached
 from repro.sat.kernel import TELEMETRY
@@ -23,6 +28,12 @@ SEED = 9
 ITERATIONS = 3
 
 
+def _kernel_delta(before: dict, prefix: str) -> dict:
+    after = TELEMETRY.snapshot()
+    return {key: after[key] - before.get(key, 0) for key in after
+            if key.startswith(prefix)}
+
+
 def _smoke_count(pool=None):
     """(solver_calls, estimates, pact.* kernel-counter deltas)."""
     x = bv_var("fan_repeat", WIDTH)
@@ -31,26 +42,53 @@ def _smoke_count(pool=None):
     before = TELEMETRY.snapshot()
     result = pact_count([bv_ult(x, bv_val(BOUND, WIDTH))], [x], config,
                         pool=pool)
-    after = TELEMETRY.snapshot()
-    kernel = {key: after[key] - before.get(key, 0) for key in after
-              if key.startswith("pact.")}
+    kernel = _kernel_delta(before, "pact.")
     assert result.solved and not result.exact
     return result.solver_calls, result.estimates, kernel
 
 
 def test_fanned_out_counters_repeat_on_every_backend():
-    """Chains are a pure function of (problem, parameters, jobs): one
-    problem counted again and again in one process gives the same
-    solver calls and kernel counters every time, on the thread and the
-    process backend, and the serial run's estimates."""
-    _, serial_estimates, _ = _smoke_count()
-    runs = [_smoke_count(ExecutionPool(2, "thread")) for _ in range(3)]
-    runs.append(_smoke_count(ExecutionPool(2, "process")))
+    """Process chains are a pure function of (problem, parameters,
+    jobs): one problem counted twice in one process gives the same
+    solver calls and kernel counters, and the serial run's estimates.
+    A thread pool does not split the count: it repeats the serial run
+    exactly."""
+    serial = _smoke_count()
+    runs = [_smoke_count(ExecutionPool(2, "process")) for _ in range(2)]
     calls, estimates, kernel = runs[0]
     assert kernel["pact.solves"] == calls
-    for run in runs[1:]:
-        assert run == (calls, estimates, kernel)
-    assert estimates == serial_estimates
+    assert runs[1] == runs[0]
+    assert estimates == serial[1]
+    assert _smoke_count(ExecutionPool(2, "thread")) == serial
+
+
+@pytest.mark.parametrize("counter, width, iterations", [
+    ("pact:xor", WIDTH, ITERATIONS),
+    ("cdm", 6, 2),
+])
+def test_a_thread_pool_count_does_the_serial_work(counter, width,
+                                                  iterations):
+    """Threads cannot run two chains at once, so a thread pool runs a
+    count's iterations as the serial chain on the counter's own solver:
+    the serial estimates, oracle calls and kernel counters, and no task
+    reaches the pool."""
+    x = bv_var(f"fan_thread_{counter}", width)
+    problem = Problem.from_terms(
+        [bv_ult(x, bv_val((1 << width) - (1 << (width - 3)), width))],
+        [x], name="fan_thread")
+    request = CountRequest(counter=counter, seed=SEED,
+                           iteration_override=iterations)
+    prefix = counter.split(":")[0] + "."
+    outcomes = []
+    for session in (Session(), Session(jobs=2, backend="thread")):
+        before = TELEMETRY.snapshot()
+        response = session.count(problem, request)
+        outcomes.append((response.estimates, response.estimate,
+                         response.solver_calls,
+                         _kernel_delta(before, prefix)))
+        assert response.status is Status.OK and not response.exact
+        assert session.pool.worker_times == {}
+    assert outcomes[1] == outcomes[0]
 
 
 def test_a_fanned_out_count_cut_short_reports_its_work():
@@ -64,45 +102,72 @@ def test_a_fanned_out_count_cut_short_reports_its_work():
     before = TELEMETRY.snapshot().get("pact.solves", 0)
     cut = count_projected(*formula, seed=SEED, iteration_override=40,
                           timeout=serial.time_seconds / 4,
-                          pool=ExecutionPool(2, "thread"))
+                          pool=ExecutionPool(2, "process"))
     solves = TELEMETRY.snapshot()["pact.solves"] - before
     assert cut.status is Status.TIMEOUT
     assert cut.iterations == len(cut.estimates) < 40
     assert 0 <= solves - cut.solver_calls <= 2
 
 
-class _CancelAtDispatch(ExecutionPool):
-    """A thread pool that sets ``token`` as the counter hands it the
-    iteration chains: after the counter's own exact-count probe, before
-    any chain starts — whatever the speed of the machine."""
-
-    def __init__(self, token):
-        super().__init__(2, "thread")
-        self.token = token
-
-    def run(self, tasks, progress=None):
-        self.token.set()
-        return super().run(tasks, progress)
-
-
 @pytest.mark.parametrize("counter", ["pact:xor", "cdm"])
-def test_cancel_token_reaches_fanned_out_iterations(counter):
+def test_cancel_token_reaches_fanned_out_iterations(counter, monkeypatch):
     """A count under a caller's CooperativeDeadline (the serve drain,
-    or any Session.count(..., deadline=...)) stops when its token is
-    set, also once the iterations run on pool threads."""
+    or any Session.count(..., deadline=...)) on a thread pool stops
+    when its token is set after the exact-count probe, as the
+    iterations start — whatever the speed of the machine."""
     width = WIDTH if counter == "pact:xor" else 5
     x = bv_var(f"fan_cancel_{counter}", width)
     problem = Problem.from_terms(
         [bv_ult(x, bv_val((1 << width) - 3, width))], [x],
         name="fan_cancel")
     token = threading.Event()
-    session = Session(pool=_CancelAtDispatch(token))
+    module = "repro.core.pact" if counter == "pact:xor" else "repro.core.cdm"
+
+    def cancel_then_run(*args):
+        token.set()
+        return run_chain(*args)
+
+    monkeypatch.setattr(f"{module}.run_chain", cancel_then_run)
+    session = Session(jobs=2, backend="thread")
     response = session.count(
         problem, CountRequest(counter=counter, seed=SEED),
         deadline=CooperativeDeadline(None, token))
     assert token.is_set()
     assert response.status is Status.TIMEOUT
     assert response.estimate is None
+
+
+_CHAIN_TASK = fanout._chain_task
+
+
+def _chain_one_dies(spec, indices, budget=None):
+    """A chain body whose chain-1 worker process kills itself."""
+    if indices[0] == 1 and multiprocessing.parent_process() is not None:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _CHAIN_TASK(spec, indices, budget=budget)
+
+
+def test_a_lost_fanout_worker_ends_the_count_in_error(monkeypatch):
+    """A worker process that dies mid-count ends the count in
+    Status.ERROR naming the lost worker, never in a traceback or in a
+    median over the chains that survived; the session's next count
+    runs on a fresh executor and succeeds."""
+    x = bv_var("fan_lost", WIDTH)
+    problem = Problem.from_terms([bv_ult(x, bv_val(BOUND, WIDTH))], [x],
+                                 name="fan_lost")
+    request = CountRequest(counter="pact:xor", seed=SEED,
+                           iteration_override=ITERATIONS)
+    session = Session(jobs=2, backend="process")
+    with monkeypatch.context() as patch:
+        # Tasks carry their body by reference to this module.
+        patch.setattr(fanout, "_chain_task", _chain_one_dies)
+        lost = session.count(problem, request)
+    assert lost.status is Status.ERROR
+    assert lost.estimate is None
+    assert "process-lost" in lost.detail
+    again = session.count(problem, request)
+    assert again.status is Status.OK
+    assert again.estimates == Session().count(problem, request).estimates
 
 
 @pytest.mark.parametrize("jobs, iterations, chains", [

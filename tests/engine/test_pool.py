@@ -47,6 +47,10 @@ class TestConstruction:
         assert not ExecutionPool(1).parallel
         assert not ExecutionPool(4, "serial").parallel
         assert ExecutionPool(2, "thread").parallel
+        # Only processes run Python at the same time.
+        assert ExecutionPool(2, "process").cpu_parallel
+        assert not ExecutionPool(1, "process").cpu_parallel
+        assert not ExecutionPool(2, "thread").cpu_parallel
 
 
 class TestRun:
