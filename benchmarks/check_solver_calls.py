@@ -30,6 +30,10 @@ kernel (``repro.sat.kernel``) on the same smoke formula:
   its ``solver_calls`` are DPLL decisions, a pure function of the
   clause DB plus the shared presolve lemmas, and its count must stay
   bit-exact;
+* the ``exact:cc:par`` row counts the same formula over a 2-worker
+  process pool, the one backend that splits an exact count: the
+  top-level component is dispatched to a worker, whose decisions and
+  kernel counters the pool ships home;
 * the ``exact:cc:lra`` row runs the same driver on a generated
   QF_BVFPLRA instance, so the eager LRA theory closure's blocking
   clauses feed the search, and its count must equal the generator's.
@@ -152,17 +156,16 @@ def measure() -> dict:
                            "estimate": exact.estimate,
                            **_kernel_delta(before, "cc.")}
     # The component-parallel row: same smoke formula through a 2-worker
-    # thread pool with a forced cube split.  Worker decisions merge
-    # into the parent's totals and the workers write the same
-    # process-wide telemetry, so every column is as deterministic as
+    # process pool, the one backend that splits an exact count.  Worker
+    # decisions merge into the parent's totals and the pool ships the
+    # workers' telemetry home, so every column is as deterministic as
     # the serial row — and the estimate is gated against it
     # (bit-identity is the tentpole invariant).
     x = bv_var("ci_exact_cc_par", WIDTH)
     before = TELEMETRY.snapshot()
     parallel = cc_count([bv_ult(x, bv_val(bound, WIDTH))], [x],
                         timeout=300,
-                        pool=ExecutionPool(jobs=2, backend="thread"),
-                        split_support=4)
+                        pool=ExecutionPool(jobs=2, backend="process"))
     assert parallel.solved, "exact:cc:par: smoke instance did not solve"
     assert parallel.estimate == exact.estimate == bound, (
         f"exact:cc:par diverged from serial: "

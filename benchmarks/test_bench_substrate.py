@@ -11,7 +11,7 @@ import time
 import pytest
 
 from benchmarks.conftest import emit_json
-from repro.sat import SatSolver
+from repro.sat import CdclDriver
 from repro.smt import (
     Equals, SmtSolver, bv_mul, bv_val, bv_var, fp_add, fp_to_bv, fp_var,
     real_le, real_val, real_var,
@@ -27,7 +27,7 @@ def test_sat_random_3sat(benchmark):
     num_vars, num_clauses = 120, 420
 
     def solve():
-        solver = SatSolver()
+        solver = CdclDriver()
         solver.new_vars(num_vars)
         for _ in range(num_clauses):
             vs = rng.sample(range(1, num_vars + 1), 3)
@@ -44,7 +44,7 @@ def test_xor_system_solving(benchmark):
     rng = random.Random(13)
 
     def solve():
-        solver = SatSolver()
+        solver = CdclDriver()
         solver.new_vars(60)
         for _ in range(55):
             variables = rng.sample(range(1, 61), rng.randint(3, 12))

@@ -24,9 +24,7 @@ pickle-fanout             error     classes shipped through process
                                     handles/generators
 lock-discipline           error     thread-shared classes write their
                                     attributes only under the instance
-                                    lock; guarded process-global calls
-                                    (``sys.setrecursionlimit``) run
-                                    only under their module lock
+                                    lock
 async-blocking            error     no blocking calls on the serve
                                     event loop
 status-literal            warning   no raw "ok"/"timeout"/... literals
@@ -50,9 +48,8 @@ from repro.analysis.engine import (
     FileContext, Rule, Severity, dotted_name,
 )
 
-__all__ = ["DETERMINISM_MODULES", "GUARDED_GLOBAL_CALLS",
-           "PICKLED_CLASSES", "THREAD_SHARED_CLASSES", "default_rules",
-           "rules_by_id"]
+__all__ = ["DETERMINISM_MODULES", "PICKLED_CLASSES",
+           "THREAD_SHARED_CLASSES", "default_rules", "rules_by_id"]
 
 # Modules whose outputs are cache keys, cache documents, canonical
 # serialisations or seeded instances: anything order- or
@@ -89,18 +86,6 @@ THREAD_SHARED_CLASSES = frozenset({
     "CallCounter", "Counter", "Gauge", "Histogram", "KernelTelemetry",
     "MetricsRegistry", "SqliteStore",
 })
-
-# Module-level calls that mutate process-global state and therefore
-# must run under a named module lock (the lock-discipline rule's
-# function-level analogue).  ``sys.setrecursionlimit`` raced under the
-# thread backend — two unsynchronised read-then-raise sequences can
-# *lower* the limit another thread just raised, reintroducing the
-# RecursionError the raise was meant to prevent.
-GUARDED_GLOBAL_CALLS = {
-    "repro/count_exact/counter.py": (
-        ("sys.setrecursionlimit", "_recursion_lock"),
-    ),
-}
 
 _LOCK_FACTORIES = frozenset({
     "threading.Lock", "threading.RLock", "threading.Condition",
@@ -378,9 +363,8 @@ class LockDisciplineRule(Rule):
     id = "lock-discipline"
     severity = Severity.ERROR
     description = ("thread-shared classes mutate their attributes only "
-                   "under the instance lock, and guarded process-global "
-                   "calls run only under their module lock (a bare "
-                   "self.x += 1 drops updates under the thread backend)")
+                   "under the instance lock (a bare self.x += 1 drops "
+                   "updates under the thread backend)")
 
     # Construction and pickle plumbing run before the instance is
     # shared; nothing else is exempt.
@@ -399,32 +383,6 @@ class LockDisciplineRule(Rule):
                             and stmt.name not in self._EXEMPT_METHODS):
                         yield from self._scan(context, node.name,
                                               stmt.body, locked=False)
-        for call, lock in GUARDED_GLOBAL_CALLS.get(context.module, ()):
-            yield from self._scan_guarded(context, context.tree, call,
-                                          lock, held=False)
-
-    def _scan_guarded(self, context: FileContext, node, call: str,
-                      lock: str, held: bool):
-        """Flag every ``call`` in the file not inside a ``with`` over
-        ``lock`` — the module-level counterpart of the class scan (the
-        walk descends into function bodies: a helper that makes the
-        call unguarded is exactly the bug)."""
-        for child in ast.iter_child_nodes(node):
-            child_held = held
-            if isinstance(child, (ast.With, ast.AsyncWith)):
-                child_held = held or any(
-                    lock in dotted_name(item.context_expr)
-                    for item in child.items)
-            if (isinstance(child, ast.Call) and not child_held
-                    and dotted_name(child.func) == call):
-                yield context.finding(
-                    self, child,
-                    f"{call}() mutates process-global state — call it "
-                    f"under `with {lock}:` (unsynchronised "
-                    "read-then-raise sequences race under the thread "
-                    "backend)")
-            yield from self._scan_guarded(context, child, call, lock,
-                                          child_held)
 
     @staticmethod
     def _is_self_lock(node) -> bool:

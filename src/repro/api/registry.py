@@ -135,8 +135,9 @@ class CcCounter:
 
     Counts on the same compiled artifact the pact counters solve on
     (one compile per problem per process, shared through the memo and
-    the session's artifact store).  A parallel ``pool`` fans top-level
-    components (and cube splits of wide ones) out across workers, and
+    the session's artifact store).  A process ``pool`` fans top-level
+    components (and cube splits of wide ones) out across its workers
+    (a thread pool runs the serial search), and
     ``request.component_store`` attaches the shared on-disk component
     cache — counts are bit-identical to the serial, storeless run
     either way.

@@ -5,8 +5,8 @@ A :class:`Session` wires a :class:`repro.engine.pool.ExecutionPool` and an
 optional result store (:class:`repro.serve.store.SqliteStore`) behind
 three verbs:
 
-* :meth:`Session.count` — one problem, one counter (iteration fan-out
-  when the pool is a process pool with ``jobs > 1``);
+* :meth:`Session.count` — one problem, one counter (iteration or
+  component fan-out when the pool is a process pool with ``jobs > 1``);
 * :meth:`Session.count_batch` — many problems through the engine with the
   fingerprint cache consulted per problem, responses in input order on
   every backend;
@@ -180,8 +180,9 @@ class Session:
         """Count one problem with one counter.
 
         On a process pool with ``jobs > 1`` the counter's median
-        iterations fan out across it (bit-identical to serial); a
-        thread pool runs them as ``jobs=1`` does.  ``deadline`` (a
+        iterations (or ``exact:cc``'s components) fan out across it
+        (bit-identical to serial); a thread pool counts as ``jobs=1``
+        does.  ``deadline`` (a
         :class:`~repro.utils.deadline.Deadline`, e.g. a
         :class:`~repro.utils.deadline.CooperativeDeadline` sharing a
         cancel token) is forwarded to the counter so an external front —

@@ -383,7 +383,7 @@ def _add_engine_arguments(parser, cache: bool = True) -> None:
     parser.add_argument("--backend", default=None,
                         choices=["serial", "thread", "process"],
                         help="pool backend (default: process when jobs>1;"
-                             " only processes split a count's iterations)")
+                             " only processes split a count)")
     if cache:
         parser.add_argument("--cache-dir", default=None,
                             help="fingerprint result cache: a "

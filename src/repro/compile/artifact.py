@@ -3,7 +3,7 @@
 A :class:`CompiledProblem` is everything a counting solver needs to come
 up without re-running preprocessing or bit-blasting:
 
-* a :class:`repro.sat.solver.SatSnapshot` — the CNF clause database plus
+* a :class:`repro.sat.kernel.SatSnapshot` — the CNF clause database plus
   native XOR rows after the staged pipeline (preprocess -> bitblast ->
   simplify);
 * the projection->bit map — for every projection variable, its SAT
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro.sat.solver import SatSnapshot
+from repro.sat.kernel import SatSnapshot
 from repro.smt.terms import Term, bv_var
 
 ARTIFACT_VERSION = 1

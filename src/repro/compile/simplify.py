@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.sat.solver import SatSnapshot
+from repro.sat.kernel import SatSnapshot
 
 # NiVER bounds: skip pivots with heavy occurrence lists, never let the
 # resolvent set outgrow the clauses it replaces.

@@ -19,12 +19,14 @@ the compiled clause DB, specialised to *projected* counting:
   (the ``components`` table of :class:`repro.serve.store.SqliteStore`),
   the cache is also consulted from and flushed to disk, so the facts
   survive the process and are shared across worker processes and runs.
-* **Component parallelism** — under a parallel
-  :class:`repro.engine.pool.ExecutionPool`, top-level components (and
-  cube-and-conquer splits of components with wide projected support)
-  are dispatched to workers as picklable residual subproblems
-  (:mod:`repro.count_exact.parallel`); their counts multiply (cubes of
-  one component sum), bit-identical to the serial product.
+* **Component parallelism** — under a process pool
+  (:attr:`repro.engine.pool.ExecutionPool.cpu_parallel`), top-level
+  components (and cube-and-conquer splits of components with wide
+  projected support) are dispatched to worker processes as picklable
+  residual subproblems (:mod:`repro.count_exact.parallel`); their
+  counts multiply (cubes of one component sum), bit-identical to the
+  serial product.  A thread pool never splits a count: only processes
+  run Python at the same time.
 * **Conflict learning** — the search runs on the kernel's
   :class:`repro.sat.kernel.ComponentDriver`, which resolves every
   propagation conflict back to its decision literals and keeps the
@@ -50,8 +52,6 @@ counting from O(#models) solver calls into search over the clause DB.
 
 from __future__ import annotations
 
-import sys
-import threading
 import time
 
 from repro.core.result import CountResult
@@ -71,27 +71,6 @@ from repro.utils.deadline import Deadline
 __all__ = ["CcStats", "cc_count", "count_compiled", "count_snapshot"]
 
 _DEADLINE_CHECK_INTERVAL = 256  # decisions between deadline polls
-# The search recurses a few frames per variable; the floor covers any
-# realistic clause DB in one process-wide bump.
-_RECURSION_FLOOR = 200_000
-_RECURSION_HEADROOM = 20_000
-_recursion_lock = threading.Lock()
-
-
-def _ensure_recursion_limit(needed: int) -> None:
-    """Raise the interpreter recursion limit to at least
-    ``max(needed, _RECURSION_FLOOR)``.
-
-    The limit is process-global, so it is only ever raised, never
-    restored: shrinking it back would yank the floor out from under a
-    concurrent count deep in its own recursion (the thread backend runs
-    several counts at once).  Jumping straight to a fixed floor makes
-    the bump a once-per-process event rather than a per-problem one.
-    """
-    needed = max(needed, _RECURSION_FLOOR)
-    with _recursion_lock:
-        if sys.getrecursionlimit() < needed:
-            sys.setrecursionlimit(needed)
 
 
 class CcStats:
@@ -161,7 +140,7 @@ class CcStats:
 
 
 class _Search:
-    """The recursive search: one instance per count, state on the trail.
+    """The search: one instance per count, state on the trail.
 
     Assignment state, propagation and conflict learning live in the
     :class:`repro.sat.kernel.ComponentDriver`; this class owns the
@@ -214,8 +193,35 @@ class _Search:
 
     def count_scope(self, scope) -> int:
         """Projected count of the residual formula over ``scope``
-        (unassigned variables): free-bit factor times the product of the
-        component counts.
+        (unassigned variables), searched on an explicit stack.
+
+        The search steps — :meth:`_scope`, :meth:`_component`,
+        :meth:`_branch` and :meth:`_satisfiable` — are generators held
+        on a list: a step yields a sub-search where it needs one, and
+        the loop sends the finished count back to it.  Search depth is
+        bounded by memory, not by the interpreter's recursion limit.
+        When a step raises, the open steps are closed innermost first,
+        so every ``finally: driver.unwind(mark)`` runs on the way out.
+        """
+        stack = [self._scope(scope)]
+        count = None
+        try:
+            while stack:
+                try:
+                    child = stack[-1].send(count)
+                except StopIteration as done:
+                    stack.pop()
+                    count = done.value
+                else:
+                    stack.append(child)
+                    count = None
+        finally:
+            while stack:
+                stack.pop().close()
+        return count
+
+    def _scope(self, scope):
+        """Free-bit factor times the product of the component counts.
 
         If any component counts to zero, every cache entry inserted
         while counting this scope is purged: sibling counts computed
@@ -233,12 +239,12 @@ class _Search:
         for component in components:
             if result == 0:
                 break
-            result *= self.count_component(component)
+            result *= yield self._component(component)
         if result == 0:
             self._purge(watermark)
         return result
 
-    def count_component(self, component: Component) -> int:
+    def _component(self, component: Component):
         """The projected count of one component, through the cache."""
         self.stats.components += 1
         signature = component_signature(self.driver.db, self.driver.values,
@@ -254,10 +260,10 @@ class _Search:
         branch = self._pick_branch_variable(signature)
         if branch is None:
             self.stats.sat_checks += 1
-            result = self._satisfiable(component)
+            result = yield self._satisfiable(component)
         else:
-            result = (self._branch_count(component, branch, TRUE_V)
-                      + self._branch_count(component, branch, FALSE_V))
+            result = ((yield self._branch(component, branch, TRUE_V))
+                      + (yield self._branch(component, branch, FALSE_V)))
         self.cache[signature] = result
         self._cache_log.append(signature)
         return result
@@ -298,17 +304,16 @@ class _Search:
             self.deadline.check()
         return self.driver.decide(var if value == TRUE_V else -var)
 
-    def _branch_count(self, component: Component, var: int,
-                      value: int) -> int:
+    def _branch(self, component: Component, var: int, value: int):
         mark = self._decide(var, value)
         if mark is None:
             return 0
         try:
-            return self.count_scope(component.variables)
+            return (yield self._scope(component.variables))
         finally:
             self.driver.unwind(mark)
 
-    def _satisfiable(self, component: Component) -> int:
+    def _satisfiable(self, component: Component):
         """Satisfiability of a projection-free component, as 0/1.
 
         Plain DPLL with the same decomposition: after a decision the
@@ -326,9 +331,12 @@ class _Search:
             watermark = len(self._cache_log)
             try:
                 components, _free = self.driver.split(component.variables)
-                if all(self.count_component(piece) for piece in components):
+                for piece in components:
+                    if not (yield self._component(piece)):
+                        self._purge(watermark)
+                        break
+                else:
                     return 1
-                self._purge(watermark)
             finally:
                 self.driver.unwind(mark)
         return 0
@@ -340,7 +348,7 @@ class _Search:
 def count_snapshot(snapshot, projection, *, deadline: Deadline | None = None,
                    timeout: float | None = None,
                    extra_clauses=(), pool=None, component_store=None,
-                   split_support: int | None = None, presolve: bool = True,
+                   presolve: bool = True,
                    stats: CcStats | None = None) -> CountResult:
     """Count a :class:`repro.sat.kernel.SatSnapshot` exactly, projected
     onto ``projection`` (an iterable of SAT variable ids).
@@ -349,10 +357,12 @@ def count_snapshot(snapshot, projection, *, deadline: Deadline | None = None,
     parallel component workers
     (:func:`repro.count_exact.parallel.count_component_task`) run on:
 
-    * ``pool`` — a parallel :class:`repro.engine.pool.ExecutionPool`
-      dispatches top-level components (cube-split when their projected
-      support exceeds ``split_support``) to workers; counts are
-      bit-identical to the serial product.
+    * ``pool`` — a process pool
+      (:attr:`repro.engine.pool.ExecutionPool.cpu_parallel`) dispatches
+      top-level components (cube-split when their projected support
+      is wide) to workers; counts are bit-identical to the serial
+      product.  A serial or thread pool counts in this thread: only
+      processes run Python at the same time.
     * ``component_store`` — path of a shared database file whose
       ``components`` table (:class:`~repro.serve.store.SqliteStore`)
       is consulted before the search and flushed after a clean
@@ -362,11 +372,9 @@ def count_snapshot(snapshot, projection, *, deadline: Deadline | None = None,
     * ``presolve`` — workers skip the shared-lemma presolve pass; the
       parent already ran it on the full formula.
 
-    A deadline expiring mid-recursion — including the indirect forms, a
-    ``RecursionError`` from an interpreter whose limit could not keep
-    up or a ``KeyboardInterrupt`` mid-search — surfaces as
-    ``Status.TIMEOUT`` with the partial stats in ``detail``, never as a
-    silently short count.
+    A deadline expiring mid-search — or a ``KeyboardInterrupt`` — surfaces
+    as ``Status.TIMEOUT`` with the partial stats in ``detail``, never as
+    a silently short count.
     """
     start = time.monotonic()
     if deadline is None:
@@ -382,8 +390,6 @@ def count_snapshot(snapshot, projection, *, deadline: Deadline | None = None,
         driver = build_driver("component", snapshot,
                               extra_clauses=extra_clauses)
         search = _Search(driver, projection, deadline, stats)
-        _ensure_recursion_limit(
-            4 * driver.db.num_vars + _RECURSION_HEADROOM)
         if component_store is not None:
             # Imported here: repro.serve's package import reaches
             # repro.api, which imports this module.
@@ -410,21 +416,19 @@ def count_snapshot(snapshot, projection, *, deadline: Deadline | None = None,
             count = 0
         else:
             scope = range(1, driver.db.num_vars + 1)
-            if pool is not None and getattr(pool, "parallel", False):
+            if pool is not None and pool.cpu_parallel:
                 from repro.count_exact.parallel import count_parallel
                 count = count_parallel(search, scope, pool, deadline,
-                                       component_store, split_support,
-                                       remote)
+                                       component_store, remote)
             else:
                 count = search.count_scope(scope)
-    except (SolverTimeoutError, RecursionError, KeyboardInterrupt) as error:
+    except (SolverTimeoutError, KeyboardInterrupt) as error:
         _merge_driver_stats(stats, driver)
         stats.merge(remote)
         detail = stats.as_detail()
         if not isinstance(error, SolverTimeoutError):
-            # The indirect deadline forms: surface them as a timeout
-            # with their cause on record, not as a bare crash (and
-            # never as a short count).
+            # An interrupt: surface it as a timeout with its cause on
+            # record, not as a bare crash (and never as a short count).
             detail += f" interrupted={type(error).__name__}"
         if store is not None:
             store.close()
@@ -449,15 +453,14 @@ def count_snapshot(snapshot, projection, *, deadline: Deadline | None = None,
 
 def count_compiled(artifact, *, deadline: Deadline | None = None,
                    timeout: float | None = None,
-                   pool=None, component_store=None,
-                   split_support: int | None = None) -> CountResult:
+                   pool=None, component_store=None) -> CountResult:
     """Count a :class:`repro.compile.CompiledProblem` exactly.
 
     The artifact is the same one the pact counters solve on (shared
     through the per-process compile memo and the on-disk artifact
     store); XOR rows and root units come straight from its snapshot.
-    ``pool``, ``component_store`` and ``split_support`` are forwarded
-    to :func:`count_snapshot`.
+    ``pool`` and ``component_store`` are forwarded to
+    :func:`count_snapshot`.
     """
     start = time.monotonic()
     if deadline is None:
@@ -486,8 +489,7 @@ def count_compiled(artifact, *, deadline: Deadline | None = None,
     result = count_snapshot(
         artifact.snapshot, projection_vars, deadline=deadline,
         extra_clauses=closure.clauses, pool=pool,
-        component_store=component_store, split_support=split_support,
-        stats=stats)
+        component_store=component_store, stats=stats)
     result.time_seconds = time.monotonic() - start
     return result
 
@@ -518,18 +520,16 @@ def cc_count(assertions, projection: list[Term],
              deadline: Deadline | None = None,
              script: str | None = None,
              digest: str | None = None,
-             pool=None, component_store=None,
-             split_support: int | None = None) -> CountResult:
+             pool=None, component_store=None) -> CountResult:
     """Count |Sol(F)|_S| exactly by component-caching search.
 
     Same calling convention as the other counters: ``deadline``
     optionally replaces the ``timeout``-derived deadline; ``digest``
     short-circuits artifact hashing when the caller already has the
     compile key.
-    ``pool`` fans top-level components out across workers,
-    ``component_store`` names the shared on-disk component cache,
-    ``split_support`` tunes the cube-and-conquer threshold (see
-    :func:`count_snapshot`).
+    A process ``pool`` fans top-level components out across its
+    workers and ``component_store`` names the shared on-disk component
+    cache (see :func:`count_snapshot`).
     """
     from repro.core.pact import compile_counting_problem
     if isinstance(assertions, Term):
@@ -540,7 +540,6 @@ def cc_count(assertions, projection: list[Term],
     artifact = compile_counting_problem(list(assertions), list(projection),
                                         script=script, digest=digest)
     result = count_compiled(artifact, deadline=deadline,
-                            pool=pool, component_store=component_store,
-                            split_support=split_support)
+                            pool=pool, component_store=component_store)
     result.time_seconds = time.monotonic() - start
     return result

@@ -3,7 +3,8 @@
 The serial search already factors the count into independent
 subproblems — the top-level connected components of the residual
 formula after root propagation.  This module ships those subproblems
-across the :class:`repro.engine.pool.ExecutionPool`:
+across a process :class:`repro.engine.pool.ExecutionPool` (the only
+kind that splits a count: only processes run Python at the same time):
 
 * a :class:`ComponentSpec` is the picklable image of one subproblem —
   the component's residual constraints verbatim (global variable ids,
@@ -20,7 +21,7 @@ across the :class:`repro.engine.pool.ExecutionPool`:
 
 **Cube-and-conquer.**  One giant component would serialise the whole
 count again, so a component whose projected support exceeds
-``split_support`` is split into ``2**k`` cubes over its ``k``
+``SPLIT_SUPPORT`` bits is split into ``2**k`` cubes over its ``k``
 highest-occurrence projection bits (the same ranking the branching
 heuristic uses).  Cubes partition the projected solution space, so the
 cube counts *sum* to the component count — which the parent then
@@ -55,7 +56,7 @@ __all__ = ["ComponentSpec", "count_component_task", "count_parallel"]
 
 # Components with at most this many projection bits stay whole; wider
 # ones are cube-split so one giant component cannot serialise the run.
-DEFAULT_SPLIT_SUPPORT = 12
+SPLIT_SUPPORT = 12
 _MAX_CUBE_BITS = 4
 
 
@@ -101,7 +102,7 @@ def count_component_task(spec: ComponentSpec,
 # parent side
 # ----------------------------------------------------------------------
 def count_parallel(search, scope, pool, deadline, store_path,
-                   split_support: int | None, remote: CcStats) -> int:
+                   remote: CcStats) -> int:
     """The parallel top level: split ``scope``, dispatch component
     misses over ``pool``, multiply.
 
@@ -113,8 +114,6 @@ def count_parallel(search, scope, pool, deadline, store_path,
     """
     driver = search.driver
     stats = search.stats
-    if split_support is None:
-        split_support = DEFAULT_SPLIT_SUPPORT
     components, free = driver.split(scope)
     free_projection = sum(1 for var in free if var in search.projection)
     stats.free_bits += free_projection
@@ -142,8 +141,8 @@ def count_parallel(search, scope, pool, deadline, store_path,
         stats.cache_misses += 1
         counts.append(None)
         specs = _component_specs(driver, component, signature,
-                                 search.projection, split_support,
-                                 pool.jobs, store_path)
+                                 search.projection, pool.jobs,
+                                 store_path)
         tasks.extend(
             Task(key=(index, cube), fn=count_component_task,
                  args=(spec,), deadline_at=deadline_at)
@@ -195,8 +194,8 @@ def _deadline_at(deadline) -> float | None:
     return time.monotonic() + remaining
 
 
-def _component_specs(driver, component, signature, projection,
-                     split_support, jobs, store_path):
+def _component_specs(driver, component, signature, projection, jobs,
+                     store_path):
     """The spec (or cube specs) for one component miss.
 
     The component's residual constraints are read off the driver
@@ -218,7 +217,7 @@ def _component_specs(driver, component, signature, projection,
                 xors=tuple(xors),
                 projection=tuple(sorted(occurrences)),
                 store_path=store_path)
-    if len(occurrences) <= split_support:
+    if len(occurrences) <= SPLIT_SUPPORT:
         return [ComponentSpec(units=(), **base)]
     ranked = sorted(occurrences, key=lambda var: (-occurrences[var], var))
     width = min(_cube_width(jobs), len(ranked))

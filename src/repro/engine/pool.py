@@ -1,7 +1,8 @@
 """The execution pool: one API over serial / thread / process backends.
 
-Every concurrent activity in the reproduction — iteration fan-out inside
-the counters (over a :attr:`~ExecutionPool.cpu_parallel` pool only),
+Every concurrent activity in the reproduction — iteration and component
+fan-out inside the counters (over a :attr:`~ExecutionPool.cpu_parallel`
+pool only),
 (configuration, instance) slot dispatch in the harness, portfolio races
 — goes through :class:`ExecutionPool` so that backend choice, per-task
 deadlines, progress reporting and worker accounting live in one place.

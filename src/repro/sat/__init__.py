@@ -9,8 +9,7 @@ pluggable search drivers (:mod:`repro.sat.kernel`):
 * :class:`repro.sat.kernel.PropagationKernel` — the shared substrate:
   clause/XOR storage, two-watched-literal and occurrence indexes, the
   assignment trail, first-UIP conflict analysis and push/pop frames.
-* :class:`repro.sat.solver.SatSolver` (= :class:`repro.sat.kernel.CdclDriver`)
-  — the CDCL search driver: VSIDS branching, phase saving, Luby restarts
+* :class:`repro.sat.kernel.CdclDriver` — the CDCL search driver: VSIDS branching, phase saving, Luby restarts
   and LBD-ranked clause-database reduction over the kernel.
 * :class:`repro.sat.kernel.ComponentDriver` — the component-splitting DPLL
   driver the exact counter searches with: counter-convention assignment
@@ -23,7 +22,7 @@ pluggable search drivers (:mod:`repro.sat.kernel`):
 * :mod:`repro.sat.dimacs` — DIMACS CNF reading/writing for debugging and
   interop.
 
-Solver frames (:meth:`SatSolver.push` / :meth:`SatSolver.pop`) give the
+Solver frames (:meth:`CdclDriver.push` / :meth:`CdclDriver.pop`) give the
 incremental discipline pact needs: hash constraints and blocking clauses
 live inside a frame and disappear when the cell count finishes.
 """
@@ -32,12 +31,10 @@ from repro.sat.kernel import (
     TELEMETRY, CdclDriver, ClauseDB, Component, ComponentDriver,
     KernelTelemetry, PropagationKernel, SatSnapshot, build_driver,
 )
-from repro.sat.solver import SatSolver
 from repro.sat.types import SAT, UNKNOWN, UNSAT
 
 __all__ = [
-    "SAT", "UNSAT", "UNKNOWN", "SatSolver",
-    "CdclDriver", "ClauseDB", "Component", "ComponentDriver",
+    "SAT", "UNSAT", "UNKNOWN", "CdclDriver", "ClauseDB", "Component", "ComponentDriver",
     "KernelTelemetry", "PropagationKernel", "SatSnapshot",
     "TELEMETRY", "build_driver",
 ]

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, TextIO
 
 from repro.errors import ParseError
-from repro.sat.solver import SatSolver
+from repro.sat.kernel import CdclDriver
 
 
 @dataclass
@@ -122,10 +122,10 @@ def parse_dimacs(text: str) -> tuple[int, list[list[int]],
     return document.num_vars, document.clauses, document.xors
 
 
-def load_solver(text: str) -> SatSolver:
-    """Build a :class:`SatSolver` from DIMACS text."""
+def load_solver(text: str) -> CdclDriver:
+    """Build a :class:`~repro.sat.kernel.CdclDriver` from DIMACS text."""
     num_vars, clauses, xors = parse_dimacs(text)
-    solver = SatSolver()
+    solver = CdclDriver()
     solver.new_vars(num_vars)
     for clause in clauses:
         solver.add_clause(clause)

@@ -23,8 +23,8 @@ This module folds both into one kernel with pluggable *search drivers*:
   Luby restarts, LBD-ranked DB reduction with glue protection) over the
   kernel's blocking-literal watchers, plus projected-model enumeration
   (projection decisions first, a model blocked by them, the search
-  resumed at the asserting level).  ``repro.sat.solver.SatSolver``
-  *is* this driver; its public API is unchanged.
+  resumed at the asserting level).  pact, CDM, ``smt/`` and
+  ``compile/`` all solve on it.
 * **:class:`ComponentDriver`** — the component-splitting DPLL driver
   used by ``exact:cc``: kernel BCP over the occurrence index with
   reason tracking, *in-component conflict learning* (conflicts resolve
@@ -1372,14 +1372,35 @@ class PropagationKernel:
 
 
 class CdclDriver(PropagationKernel):
-    """The CDCL search driver: VSIDS decisions, Luby restarts and
-    LBD-ranked learnt-DB reduction over the propagation kernel, plus
-    projected-model enumeration (:meth:`set_projection`,
-    :meth:`block_projection`).
+    """The incremental CDCL SAT solver with native XOR support — the
+    reproduction's stand-in for the SAT core inside CVC5 /
+    CryptoMiniSat.
 
-    ``repro.sat.solver.SatSolver`` subclasses this unchanged — the
-    public ``solve``/``push``/``pop``/``snapshot`` surface is exactly
-    the pre-kernel solver's.
+    Feature set (all standard, all load-bearing for pact's workload of
+    repeated incremental solves):
+
+    * two-watched-literal unit propagation with blocking literals;
+    * first-UIP conflict analysis with clause minimisation
+      (self-subsumption against reason clauses);
+    * VSIDS variable activities with a lazy max-heap, phase saving;
+      only variables some clause or XOR row mentions are decided;
+    * projected-model enumeration: projection variables are decided
+      first, and a model is blocked by its projection decisions, with
+      the search resumed at the asserting level (:meth:`set_projection`
+      / :meth:`block_projection`);
+    * Luby-sequence restarts;
+    * LBD-ranked learnt-clause database reduction (glue clauses kept);
+    * native XOR rows via :class:`repro.sat.xor_engine.XorEngine`, with
+      Gauss–Jordan elimination of the root-born rows at solve time
+      (dense XOR systems collapse to their reduced basis; rows living
+      inside frames — pact's hash constraints — are never touched);
+    * push/pop frames: clauses, XOR rows, variables and level-0
+      implications added after a ``push`` vanish on ``pop``;
+    * safe learnt-clause retention across ``pop`` (``retain_learnts =
+      False`` turns it off: a test reference only);
+    * wall-clock deadlines and conflict budgets.
+
+    Literals are DIMACS-style signed ints (see :mod:`repro.sat.types`).
     """
 
     # ------------------------------------------------------------------

@@ -58,7 +58,7 @@ class XorRow:
 
 
 class XorEngine:
-    """Parity propagation engine embedded in a :class:`SatSolver`.
+    """Parity propagation engine embedded in a :class:`~repro.sat.kernel.CdclDriver`.
 
     The engine reads the solver's assignment through the two bitmask
     attributes the solver maintains (``assigned_mask``, ``true_mask``) and

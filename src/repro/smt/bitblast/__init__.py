@@ -1,6 +1,6 @@
 """Eager bit-blasting of bit-vector/Boolean terms to CNF.
 
-``CnfBuilder`` provides Tseitin gates over a :class:`repro.sat.SatSolver`
+``CnfBuilder`` provides Tseitin gates over a :class:`repro.sat.CdclDriver`
 with structural hashing; ``circuits`` contains the word-level circuits
 (ripple adders, shift-add multipliers, barrel shifters, comparators);
 ``BitBlaster`` walks the term DAG and memoises per solver frame, so hash

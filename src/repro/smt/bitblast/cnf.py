@@ -10,13 +10,13 @@ across the whole counting run.
 
 from __future__ import annotations
 
-from repro.sat.solver import SatSolver
+from repro.sat.kernel import CdclDriver
 
 
 class CnfBuilder:
-    """Structural-hashing Tseitin builder bound to a SatSolver."""
+    """Structural-hashing Tseitin builder bound to a CdclDriver."""
 
-    def __init__(self, solver: SatSolver, true_lit: int | None = None):
+    def __init__(self, solver: CdclDriver, true_lit: int | None = None):
         """Bind to ``solver``; ``true_lit`` names an *existing* variable
         already forced true at the root (the compile pipeline's
         reconstruction path, where the solver is cloned from a snapshot

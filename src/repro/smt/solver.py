@@ -21,7 +21,7 @@ Architecture (mirroring the CVC5 configuration pact uses, section III-F):
 from __future__ import annotations
 
 from repro.errors import CounterError
-from repro.sat.solver import SatSolver
+from repro.sat.kernel import CdclDriver
 from repro.smt.bitblast.blaster import BitBlaster
 from repro.smt.bitblast.cnf import CnfBuilder
 from repro.smt.model import Model, free_variables
@@ -37,7 +37,7 @@ class SmtSolver:
     """An incremental SMT solver over the supported hybrid theories."""
 
     def __init__(self):
-        self.sat = SatSolver()
+        self.sat = CdclDriver()
         self.builder = CnfBuilder(self.sat)
         self.blaster = BitBlaster(self.builder)
         self.preprocessor = Preprocessor()
@@ -65,7 +65,7 @@ class SmtSolver:
         assertion stack is not part of the artifact).
         """
         solver = cls.__new__(cls)
-        solver.sat = SatSolver()
+        solver.sat = CdclDriver()
         solver.sat.clone_from(compiled.snapshot)
         solver.builder = CnfBuilder(solver.sat,
                                     true_lit=compiled.true_lit)

@@ -251,44 +251,6 @@ def test_lock_discipline_polices_component_store():
         [("lock-discipline", 3)]
 
 
-CC_COUNTER_PATH = "src/repro/count_exact/counter.py"
-
-
-def test_lock_discipline_guarded_global_call_violating():
-    findings = lint("""\
-        import sys
-
-        def _ensure_recursion_limit(target):
-            if sys.getrecursionlimit() < target:
-                sys.setrecursionlimit(target)
-        """, CC_COUNTER_PATH, "lock-discipline")
-    assert [(f.rule, f.line) for f in findings] == \
-        [("lock-discipline", 5)]
-
-
-def test_lock_discipline_guarded_global_call_clean():
-    assert lint("""\
-        import sys
-        import threading
-
-        _recursion_lock = threading.Lock()
-
-        def _ensure_recursion_limit(target):
-            with _recursion_lock:
-                if sys.getrecursionlimit() < target:
-                    sys.setrecursionlimit(target)
-        """, CC_COUNTER_PATH, "lock-discipline") == []
-
-
-def test_lock_discipline_guarded_call_out_of_scope_path_ignored():
-    # the walk list names the module that owns the lock; other modules
-    # are out of scope for the guarded-call half of the rule
-    assert lint("""\
-        import sys
-        sys.setrecursionlimit(100000)
-        """, ANY_PATH, "lock-discipline") == []
-
-
 def test_pickle_fanout_polices_component_spec():
     findings = lint("""\
         import threading

@@ -21,7 +21,7 @@ from repro.compile.simplify import (
     STAGES, CnfState, eliminate_auxiliaries, eliminate_blocked_clauses,
     probe_failed_literals, propagate_units, run_stages,
 )
-from repro.sat.solver import SatSnapshot
+from repro.sat.kernel import SatSnapshot
 
 
 def make_snapshot(num_vars, clauses, xors=(), units=()):

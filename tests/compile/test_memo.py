@@ -104,7 +104,10 @@ class TestBoundedSideTables:
 
 
 class TestFanOutExactlyOnce:
-    def test_session_thread_fanout_compiles_once(self):
+    def test_thread_pool_session_count_compiles_once(self):
+        """A thread-pool ``Session.count`` runs every iteration on the
+        one solver built from the memo's artifact: the problem compiles
+        exactly once."""
         assertions, projection = _formula("memo_fan", width=12, bound=3000)
         problem = Problem.from_terms(assertions, projection)
         with Session(jobs=4, backend="thread") as session:

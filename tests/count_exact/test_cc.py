@@ -1,6 +1,7 @@
 """The exact component-caching counter: search, cache, closure, API."""
 
 import random
+import sys
 
 import pytest
 
@@ -9,11 +10,10 @@ from repro.benchgen.generators import GENERATORS
 from repro.compile import CompiledProblem, compile_problem
 from repro.count_exact import (
     MAX_CLOSURE_ATOMS, cc_count, component_signature, count_compiled,
-    lra_closure, projection_occurrences,
+    count_snapshot, lra_closure, projection_occurrences,
 )
 from repro.errors import CounterError
-from repro.sat.kernel import ClauseDB, UNSET_V
-from repro.sat.solver import SatSolver
+from repro.sat.kernel import CdclDriver, ClauseDB, SatSnapshot, UNSET_V
 from repro.smt import (
     And, Equals, Implies, bv_and, bv_ult, bv_val, bv_var, real_add,
     real_le, real_lt, real_mul, real_val, real_var,
@@ -77,6 +77,41 @@ class TestCounts:
         result = cc_count([bv_ult(x, bv_val(60_000, 16))], [x], timeout=0)
         assert result.status is Status.TIMEOUT
         assert result.estimate is None
+
+    @pytest.mark.parametrize("projected", ["all", "first"])
+    def test_deep_search_leaves_the_recursion_limit_alone(self, projected):
+        """The search keeps its frames on an explicit stack: the chain
+        (x_i or x_i+1) over 400 variables counts exactly under a
+        recursion limit of the caller's depth + 100, and the limit
+        stays where it was.  Projected on every bit the count is
+        Fib(402), 400 branching steps deep; projected on x_1 alone it
+        is 2, and the rest of the chain is 400 satisfiability steps
+        deep."""
+        num_vars = 400
+        clauses = tuple((var, var + 1) for var in range(1, num_vars))
+        snapshot = SatSnapshot(num_vars, clauses, (), (), ok=True)
+        fib = [0, 1]
+        while len(fib) <= num_vars + 2:
+            fib.append(fib[-1] + fib[-2])
+        projection, expected = {
+            "all": (range(1, num_vars + 1), fib[num_vars + 2]),
+            "first": ((1,), 2),
+        }[projected]
+        depth = 0
+        frame = sys._getframe()
+        while frame is not None:
+            depth += 1
+            frame = frame.f_back
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            result = count_snapshot(snapshot, projection)
+            limit = sys.getrecursionlimit()
+        finally:
+            sys.setrecursionlimit(saved)
+        assert limit == depth + 100
+        assert result.status is Status.OK
+        assert result.estimate == expected
 
 
 class TestLraClosure:
@@ -234,7 +269,7 @@ class TestSignature:
 def _cnf_artifact(num_vars, clauses, xors, projection_vars):
     """A synthetic CompiledProblem over raw SAT variables (the search
     never looks at terms, only at the snapshot + projection bits)."""
-    solver = SatSolver()
+    solver = CdclDriver()
     solver.new_vars(num_vars)
     for clause in clauses:
         solver.add_clause(clause)
@@ -335,9 +370,9 @@ class TestApiIntegration:
         assert result.estimate == 42
 
     def test_thread_backend_batch(self):
-        """Concurrent exact:cc counts on the thread backend: the
-        process-global recursion limit is raised monotonically, never
-        restored, so no count can yank it from under another."""
+        """Concurrent exact:cc counts on the thread backend: each
+        count searches on its own stack and driver and touches no
+        process-global state, so counts side by side stay exact."""
         from repro.api import Session
         problems = []
         expected = []

@@ -1,19 +1,22 @@
 """Component-parallel exact counting: bit-identity against the serial
 search, cube-and-conquer splitting, stats/telemetry transport across
-backends, and deadline/interrupt surfacing."""
+the process boundary, the thread pool's serial work, and
+deadline/interrupt surfacing."""
 
 import random
 import time
 
 import pytest
 
+import repro.count_exact.parallel as parallel_module
 from repro.api import CountRequest, Problem, resolve
 from repro.count_exact.counter import CcStats, count_snapshot
 from repro.count_exact.parallel import (
     ComponentSpec, _cube_width, count_component_task,
 )
 from repro.engine.pool import ExecutionPool
-from repro.sat.kernel import TELEMETRY, SatSnapshot
+from repro.errors import SolverTimeoutError
+from repro.sat.kernel import TELEMETRY, ClauseDB, ComponentDriver, SatSnapshot
 from repro.smt import bv_ult, bv_val, bv_var
 from repro.status import Status
 from repro.utils.deadline import Deadline
@@ -41,42 +44,58 @@ def random_snapshot(seed, num_vars=15, num_clauses=18, num_xors=2):
 PROJECTION = frozenset(range(1, 12))
 
 
+@pytest.fixture
+def split_at_4(monkeypatch):
+    """Cube-split every component wider than 4 projection bits (the
+    parent reads the constant when it builds the specs)."""
+    monkeypatch.setattr(parallel_module, "SPLIT_SUPPORT", 4)
+
+
 # ----------------------------------------------------------------------
 # bit-identity
 # ----------------------------------------------------------------------
 class TestBitIdentity:
-    @pytest.mark.parametrize("jobs", [1, 2, 4])
     @pytest.mark.parametrize("seed", range(4))
-    def test_thread_backend_matches_serial(self, seed, jobs):
-        snapshot = random_snapshot(seed)
-        serial = count_snapshot(snapshot, PROJECTION)
-        pool = ExecutionPool(jobs=jobs, backend="thread")
-        parallel = count_snapshot(snapshot, PROJECTION, pool=pool,
-                                  split_support=4)
-        assert serial.status is parallel.status is Status.OK
-        assert serial.estimate == parallel.estimate
-
-    @pytest.mark.parametrize("seed", range(2))
-    def test_process_backend_matches_serial(self, seed):
+    def test_process_backend_matches_serial(self, seed, split_at_4):
         snapshot = random_snapshot(seed)
         serial = count_snapshot(snapshot, PROJECTION)
         pool = ExecutionPool(jobs=2, backend="process")
-        parallel = count_snapshot(snapshot, PROJECTION, pool=pool,
-                                  split_support=4)
+        parallel = count_snapshot(snapshot, PROJECTION, pool=pool)
+        assert serial.status is parallel.status is Status.OK
         assert serial.estimate == parallel.estimate
 
-    def test_forced_cube_split_matches_serial(self):
-        """split_support=0 cube-splits every component with projected
-        support, so the cubes-sum-to-component invariant is on the
-        critical path."""
+    def test_forced_cube_split_matches_serial(self, monkeypatch):
+        """A split threshold of 0 cube-splits every component with
+        projected support, so the cubes-sum-to-component invariant is
+        on the critical path."""
+        monkeypatch.setattr(parallel_module, "SPLIT_SUPPORT", 0)
         snapshot = random_snapshot(11)
         serial = count_snapshot(snapshot, PROJECTION)
         stats = CcStats()
-        pool = ExecutionPool(jobs=4, backend="thread")
+        pool = ExecutionPool(jobs=4, backend="process")
         parallel = count_snapshot(snapshot, PROJECTION, pool=pool,
-                                  split_support=0, stats=stats)
+                                  stats=stats)
         assert parallel.estimate == serial.estimate
-        assert stats.dispatched >= 2  # at least one component, cubed
+        assert stats.dispatched >= 4  # at least one component, 4 cubes
+
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_thread_backend_matches_serial(self, seed, jobs, split_at_4):
+        """Only processes run Python at the same time, so a thread pool
+        of any width splits nothing: the count is the serial count,
+        stats and all."""
+        snapshot = random_snapshot(seed)
+        serial_stats = CcStats()
+        serial = count_snapshot(snapshot, PROJECTION, stats=serial_stats)
+        thread_stats = CcStats()
+        pool = ExecutionPool(jobs=jobs, backend="thread")
+        threaded = count_snapshot(snapshot, PROJECTION, pool=pool,
+                                  stats=thread_stats)
+        assert serial.status is threaded.status is Status.OK
+        assert thread_stats.dispatched == 0
+        assert threaded.estimate == serial.estimate
+        assert thread_stats.as_dict() == serial_stats.as_dict()
+        assert pool.worker_times == {}
 
     def test_cube_specs_sum_to_whole_component(self):
         """Counting each cube of a spec independently sums to the
@@ -95,46 +114,42 @@ class TestBitIdentity:
 # stats and telemetry transport
 # ----------------------------------------------------------------------
 class TestStatsTransport:
-    def test_worker_stats_fold_into_parent(self):
+    def test_worker_stats_fold_into_parent(self, split_at_4):
         snapshot = random_snapshot(3)
-        serial_stats = CcStats()
-        count_snapshot(snapshot, PROJECTION, stats=serial_stats)
         pool_stats = CcStats()
         pool = ExecutionPool(jobs=2, backend="process")
-        count_snapshot(snapshot, PROJECTION, pool=pool, split_support=4,
-                       stats=pool_stats)
+        count_snapshot(snapshot, PROJECTION, pool=pool, stats=pool_stats)
         assert pool_stats.dispatched > 0
         # the workers' search work is visible in the parent totals
         assert pool_stats.decisions > 0
         assert pool_stats.components > 0
 
-    def test_stats_are_backend_independent(self):
-        """Thread and process workers run the same searches, so the
-        merged totals agree counter for counter."""
+    def test_process_stats_repeat_exactly(self, split_at_4):
+        """Every worker runs a fixed search on a fixed spec, so two
+        process-pool counts agree counter for counter."""
         snapshot = random_snapshot(5)
-        totals = {}
-        for backend in ("thread", "process"):
+        totals = []
+        for _ in range(2):
             stats = CcStats()
-            pool = ExecutionPool(jobs=2, backend=backend)
+            pool = ExecutionPool(jobs=2, backend="process")
             result = count_snapshot(snapshot, PROJECTION, pool=pool,
-                                    split_support=4, stats=stats)
-            totals[backend] = (result.estimate, stats.as_dict())
-        assert totals["thread"] == totals["process"]
+                                    stats=stats)
+            totals.append((result.estimate, stats.as_dict()))
+        assert totals[0][1]["dispatched"] > 0
+        assert totals[0] == totals[1]
 
     def test_telemetry_survives_the_process_boundary(self):
         """The pool ships each worker's kernel-telemetry delta home, so
-        ``pact count --stats`` totals are backend-independent."""
+        ``pact count --stats`` shows the workers' decisions: the parent
+        itself decides nothing on a dispatched count."""
         snapshot = random_snapshot(7)
-        deltas = {}
-        for backend in ("thread", "process"):
-            before = TELEMETRY.snapshot().get("cc.decisions", 0)
-            pool = ExecutionPool(jobs=2, backend=backend)
-            count_snapshot(snapshot, PROJECTION, pool=pool,
-                           split_support=4)
-            after = TELEMETRY.snapshot().get("cc.decisions", 0)
-            deltas[backend] = after - before
-        assert deltas["process"] > 0
-        assert deltas["thread"] == deltas["process"]
+        stats = CcStats()
+        before = TELEMETRY.snapshot().get("cc.decisions", 0)
+        pool = ExecutionPool(jobs=2, backend="process")
+        count_snapshot(snapshot, PROJECTION, pool=pool, stats=stats)
+        delta = TELEMETRY.snapshot().get("cc.decisions", 0) - before
+        assert stats.dispatched > 0
+        assert delta == stats.decisions > 0
 
 
 # ----------------------------------------------------------------------
@@ -151,7 +166,6 @@ class _ExpiringDeadline(Deadline):
     def check(self):
         self.allowance -= 1
         if self.allowance < 0:
-            from repro.errors import SolverTimeoutError
             raise SolverTimeoutError("deadline exceeded")
 
 
@@ -170,36 +184,57 @@ class TestDeadlines:
         assert result.detail.startswith("cc: decisions=")
         assert result.solver_calls > 0  # partial work is on record
 
-    def test_worker_timeout_never_returns_partial_product(self, monkeypatch):
+    def test_a_deadline_mid_search_unwinds_every_decision(self,
+                                                          monkeypatch):
+        """The search loop closes its open steps when one raises, so
+        every decision is unwound by the time the timeout leaves
+        ``count_scope``."""
+        from repro.count_exact import counter as counter_module
+        monkeypatch.setattr(counter_module, "_DEADLINE_CHECK_INTERVAL", 3)
+        num_vars = 60
+        driver = ComponentDriver(ClauseDB(
+            num_vars, [(var, var + 1) for var in range(1, num_vars)], ()))
+        search = counter_module._Search(
+            driver, frozenset(range(1, num_vars + 1)),
+            _ExpiringDeadline(7), CcStats())
+        assert search.assert_roots([])
+        root = len(driver.trail)
+        # ``raised`` keeps the traceback, and with it the loop's frame
+        # and its suspended steps, alive: only the loop itself can have
+        # closed them.
+        with pytest.raises(SolverTimeoutError) as raised:
+            search.count_scope(range(1, num_vars + 1))
+        assert "deadline exceeded" in str(raised.value)
+        assert search.stats.decisions > 3
+        assert len(driver.trail) == root
+
+    def test_worker_timeout_never_returns_partial_product(self, monkeypatch,
+                                                          split_at_4):
         """When any dispatched subproblem times out the parent raises
         (surfacing TIMEOUT), instead of multiplying the components that
         did finish."""
-        import repro.count_exact.parallel as parallel_module
         monkeypatch.setattr(parallel_module, "_deadline_at",
                             lambda deadline: time.monotonic() - 1.0)
         snapshot = random_snapshot(2)
-        pool = ExecutionPool(jobs=2, backend="thread")
-        result = count_snapshot(snapshot, PROJECTION, pool=pool,
-                                split_support=4)
+        pool = ExecutionPool(jobs=2, backend="process")
+        result = count_snapshot(snapshot, PROJECTION, pool=pool)
         assert result.status is Status.TIMEOUT
         assert result.estimate is None
 
-    @pytest.mark.parametrize("interrupt", [RecursionError, KeyboardInterrupt])
-    def test_indirect_interrupts_surface_as_timeout(self, monkeypatch,
-                                                    interrupt):
-        """RecursionError/KeyboardInterrupt mid-search surface as
-        TIMEOUT with the cause named in detail, not as a bare crash."""
+    def test_keyboard_interrupt_surfaces_as_timeout(self, monkeypatch):
+        """A KeyboardInterrupt mid-search surfaces as TIMEOUT with the
+        cause named in detail, not as a bare crash."""
         from repro.count_exact import counter as counter_module
 
         def explode(self, scope):
-            raise interrupt()
+            raise KeyboardInterrupt()
 
         monkeypatch.setattr(counter_module._Search, "count_scope", explode)
         snapshot = random_snapshot(0)
         result = count_snapshot(snapshot, PROJECTION)
         assert result.status is Status.TIMEOUT
         assert result.estimate is None
-        assert f"interrupted={interrupt.__name__}" in result.detail
+        assert "interrupted=KeyboardInterrupt" in result.detail
 
 
 # ----------------------------------------------------------------------
@@ -235,8 +270,26 @@ class TestApiThreading:
         store_path = tmp_path / "cc.sqlite"
         request = CountRequest(counter="exact:cc",
                                component_store=str(store_path))
-        pool = ExecutionPool(jobs=2, backend="thread")
+        pool = ExecutionPool(jobs=2, backend="process")
         response = resolve("exact:cc").count(problem, request, pool=pool)
         assert response.estimate == 700
         assert response.exact
+        assert "dispatched=1" in response.detail
         assert store_path.exists()
+
+    def test_registry_with_a_thread_pool_counts_serially(self):
+        """A thread pool reaches ``count_snapshot`` through the registry
+        and splits nothing: the answer and its ``cc:`` detail are the
+        serial count's."""
+        x = bv_var("cc_thread_reg", 10)
+        problem = Problem.from_terms([bv_ult(x, bv_val(700, 10))], [x],
+                                     name="cc_thread_reg")
+        request = CountRequest(counter="exact:cc")
+        counter = resolve("exact:cc")
+        serial = counter.count(problem, request)
+        pool = ExecutionPool(jobs=2, backend="thread")
+        threaded = counter.count(problem, request, pool=pool)
+        assert threaded.estimate == serial.estimate == 700
+        assert threaded.exact
+        assert "dispatched" not in threaded.detail
+        assert threaded.detail == serial.detail

@@ -64,6 +64,8 @@ def test_fanned_out_counters_repeat_on_every_backend():
 
 @pytest.mark.parametrize("counter, width, iterations", [
     ("pact:xor", WIDTH, ITERATIONS),
+    ("pact:prime", 8, ITERATIONS),
+    ("pact:shift", WIDTH, ITERATIONS),
     ("cdm", 6, 2),
 ])
 def test_a_thread_pool_count_does_the_serial_work(counter, width,

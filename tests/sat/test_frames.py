@@ -2,17 +2,17 @@
 
 import pytest
 
-from repro.sat import SatSolver
+from repro.sat import CdclDriver
 
 
 class TestFrames:
     def test_pop_without_push_raises(self):
-        solver = SatSolver()
+        solver = CdclDriver()
         with pytest.raises(RuntimeError):
             solver.pop()
 
     def test_clause_removed_on_pop(self):
-        solver = SatSolver()
+        solver = CdclDriver()
         solver.new_vars(2)
         solver.add_clause([1, 2])
         solver.push()
@@ -27,7 +27,7 @@ class TestFrames:
         assert solver.model_value(1) is True
 
     def test_unsat_inside_frame_recovers(self):
-        solver = SatSolver()
+        solver = CdclDriver()
         solver.new_vars(1)
         solver.add_clause([1])
         solver.push()
@@ -37,7 +37,7 @@ class TestFrames:
         assert solver.solve() is True
 
     def test_frame_vars_are_dropped(self):
-        solver = SatSolver()
+        solver = CdclDriver()
         solver.new_vars(2)
         solver.push()
         aux = solver.new_var()
@@ -47,7 +47,7 @@ class TestFrames:
         assert solver.num_vars() == 2
 
     def test_xor_removed_on_pop(self):
-        solver = SatSolver()
+        solver = CdclDriver()
         solver.new_vars(3)
         solver.add_clause([1])
         solver.push()
@@ -62,7 +62,7 @@ class TestFrames:
         assert solver.model_value(2) is True
 
     def test_nested_frames(self):
-        solver = SatSolver()
+        solver = CdclDriver()
         solver.new_vars(3)
         solver.add_clause([1, 2, 3])
         solver.push()
@@ -79,7 +79,7 @@ class TestFrames:
 
     def test_level0_implications_undone(self):
         """Implications derived inside a frame must not leak out."""
-        solver = SatSolver()
+        solver = CdclDriver()
         solver.new_vars(2)
         solver.add_clause([-1, 2])  # x1 -> x2
         solver.push()
@@ -94,7 +94,7 @@ class TestFrames:
 
     def test_enumeration_per_cell_pattern(self):
         """The SaturatingCounter pattern: push, hash, enumerate, pop."""
-        solver = SatSolver()
+        solver = CdclDriver()
         variables = solver.new_vars(4)
         solver.add_clause([1, 2, 3, 4])
         total = 2 ** 4 - 1  # all assignments except all-false
@@ -121,7 +121,7 @@ class TestFrames:
         assert full == total
 
     def test_many_frame_cycles_stay_consistent(self):
-        solver = SatSolver()
+        solver = CdclDriver()
         solver.new_vars(6)
         solver.add_clause([1, 2])
         solver.add_clause([-3, 4])

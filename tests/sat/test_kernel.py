@@ -20,9 +20,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.count_exact.counter import CcStats, _Search, _merge_driver_stats
 from repro.count_exact.signature import component_signature
-from repro.sat import SatSolver
 from repro.sat.kernel import (
-    ClauseDB, ComponentDriver, TRUE_V, UNSET_V, build_driver,
+    CdclDriver, ClauseDB, ComponentDriver, TRUE_V, UNSET_V, build_driver,
     presolve_lemmas,
 )
 from repro.utils.deadline import Deadline
@@ -134,7 +133,7 @@ def test_drivers_and_brute_force_agree(db):
     num_vars, clauses, xors = db
     expected = brute_force_count(num_vars, clauses, xors)
 
-    cdcl = SatSolver()
+    cdcl = CdclDriver()
     cdcl.new_vars(num_vars)
     ok = all(cdcl.add_clause(clause) for clause in clauses)
     ok = ok and all(cdcl.add_xor(variables, rhs)
@@ -155,7 +154,7 @@ def test_snapshot_handoff_preserves_counts(db):
     num_vars, clauses, xors = db
     expected = brute_force_count(num_vars, clauses, xors)
 
-    solver = SatSolver()
+    solver = CdclDriver()
     solver.new_vars(num_vars)
     ok = all(solver.add_clause(clause) for clause in clauses)
     ok = ok and all(solver.add_xor(variables, rhs)
@@ -183,7 +182,7 @@ def test_presolve_lemmas_are_count_preserving(db):
     units and seeding the clauses must not change the model count."""
     num_vars, clauses, xors = db
     expected = brute_force_count(num_vars, clauses, xors)
-    solver = SatSolver()
+    solver = CdclDriver()
     solver.new_vars(num_vars)
     ok = all(solver.add_clause(clause) for clause in clauses)
     ok = ok and all(solver.add_xor(variables, rhs)
@@ -293,7 +292,7 @@ def test_forced_reduction_differential(db):
     """Verdicts match brute force with the learnt-DB cap forced low
     enough that reduction actually runs on these instances."""
     num_vars, clauses, xors = db
-    solver = SatSolver()
+    solver = CdclDriver()
     solver.new_vars(num_vars)
     solver._max_learnts = 0.0
     ok = all(solver.add_clause(clause) for clause in clauses)
@@ -308,7 +307,7 @@ def test_lbd_recorded_and_glue_protected():
     glue clauses (lbd <= GLUE_LBD) even under a zero learnt cap."""
     from repro.sat.kernel import GLUE_LBD
 
-    solver = SatSolver()
+    solver = CdclDriver()
     solver._max_learnts = 0.0
     nv = 10
     solver.new_vars(nv)

@@ -13,7 +13,7 @@ import random
 import pytest
 
 from repro.errors import ResourceBudgetError
-from repro.sat import SatSolver
+from repro.sat import CdclDriver
 from repro.sat.types import TRUE
 
 
@@ -65,7 +65,7 @@ def _brute_force(total, clauses, xors, projection):
 def _load(total, clauses, xors, hashes, projection):
     """A solver holding the database at its root frame and one pushed
     frame per hash row, with ``projection`` set."""
-    solver = SatSolver()
+    solver = CdclDriver()
     solver.new_vars(total)
     for clause in clauses:
         solver.add_clause(clause)
@@ -159,7 +159,7 @@ def test_search_cut_short_mid_enumeration_then_fresh_enumeration():
 
 
 def test_unconstrained_projection_variable_is_enumerated_both_ways():
-    solver = SatSolver()
+    solver = CdclDriver()
     solver.new_vars(3)
     solver.add_clause([1, 2])
     solver.set_projection([1, 3])
@@ -172,7 +172,7 @@ def test_block_resumes_at_the_asserting_level():
     """After a block with m >= 2 the trail keeps levels 1..m-1 and the
     next solve continues from there; a solve without a block starts
     again from level 0."""
-    solver = SatSolver()
+    solver = CdclDriver()
     solver.new_vars(3)
     solver.set_projection([1, 2, 3])
     solver.push()
@@ -197,7 +197,7 @@ def test_block_resumes_at_the_asserting_level():
 
 
 def test_projection_must_be_root_variables():
-    solver = SatSolver()
+    solver = CdclDriver()
     solver.new_vars(2)
     solver.push()
     local = solver.new_var()
@@ -209,7 +209,7 @@ def test_projection_must_be_root_variables():
 
 
 def test_block_needs_a_sat_answer():
-    solver = SatSolver()
+    solver = CdclDriver()
     solver.new_vars(2)
     solver.add_clause([1, 2])
     solver.set_projection([1, 2])

@@ -18,7 +18,7 @@ import random
 import pytest
 
 from repro.errors import ResourceBudgetError
-from repro.sat import SatSolver
+from repro.sat import CdclDriver
 
 
 def _random_instance(rng, num_vars, num_clauses, num_xors):
@@ -93,7 +93,7 @@ def _enumerate_models(solver, num_vars):
 
 
 def _build(clauses, xors, num_vars):
-    solver = SatSolver()
+    solver = CdclDriver()
     solver.new_vars(num_vars)
     for clause in clauses:
         solver.add_clause(clause)
@@ -197,7 +197,7 @@ class TestRetentionSoundness:
         rng = random.Random(seed)
         num_vars = 10
         base_clauses = []
-        solver = SatSolver()
+        solver = CdclDriver()
         solver.new_vars(num_vars)
         for _ in range(10):
             variables = rng.sample(range(1, num_vars + 1), 3)
@@ -224,7 +224,7 @@ class TestRetentionSoundness:
         assert got == _brute_force_models(num_vars, base_clauses, [])
 
     def test_frame_local_variables_never_retained(self):
-        solver = SatSolver()
+        solver = CdclDriver()
         solver.new_vars(3)
         solver.add_clause([1, 2, 3])
         solver.push()
@@ -245,7 +245,7 @@ class TestRetentionSoundness:
 
 class TestXorTruncate:
     def test_truncate_rebuilds_watch_lists(self):
-        solver = SatSolver()
+        solver = CdclDriver()
         solver.new_vars(6)
         mark = solver.xor.mark()
         assert mark == 0
@@ -268,7 +268,7 @@ class TestXorTruncate:
         assert solver.model_value(3) is True
 
     def test_truncate_beyond_rows_raises(self):
-        solver = SatSolver()
+        solver = CdclDriver()
         solver.new_vars(2)
         with pytest.raises(ValueError):
             solver.xor.truncate(5)
@@ -312,7 +312,7 @@ def _random_history(seed, covered):
     rng = random.Random(6600 + seed)
     num_vars = 8
     hidden = [None] + [rng.random() < 0.5 for _ in range(num_vars)]
-    solver = SatSolver()
+    solver = CdclDriver()
     solver.new_vars(num_vars)
     frames = [([], [])]  # (clauses, xors) added in each frame
 
@@ -395,7 +395,7 @@ class TestRootFixpoint:
         """A conflict budget can end a search right after a unit learnt
         is enqueued at level 0; the next frame still opens on a
         fixpoint, with the unit's consequences at level 0."""
-        solver = SatSolver()
+        solver = CdclDriver()
         solver.new_vars(3)
         solver.add_clause([1, 2])
         solver.add_clause([1, -2])

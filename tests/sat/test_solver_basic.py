@@ -3,19 +3,19 @@
 import pytest
 
 from repro.errors import ResourceBudgetError, SolverTimeoutError
-from repro.sat import SatSolver
+from repro.sat import CdclDriver
 from repro.utils.deadline import Deadline
 
 
 def make_solver(n):
-    solver = SatSolver()
+    solver = CdclDriver()
     solver.new_vars(n)
     return solver
 
 
 class TestConstruction:
     def test_new_vars_are_sequential(self):
-        solver = SatSolver()
+        solver = CdclDriver()
         assert solver.new_vars(3) == [1, 2, 3]
         assert solver.num_vars() == 3
 

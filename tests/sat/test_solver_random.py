@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sat import SatSolver
+from repro.sat import CdclDriver
 from repro.sat.types import FALSE, UNASSIGNED
 
 
@@ -59,7 +59,7 @@ def test_random_3sat_agrees_with_brute_force(seed):
     num_vars = rng.randint(3, 9)
     num_clauses = rng.randint(2, 4 * num_vars)
     clauses = random_clauses(rng, num_vars, num_clauses)
-    solver = SatSolver()
+    solver = CdclDriver()
     solver.new_vars(num_vars)
     consistent = True
     for clause in clauses:
@@ -82,7 +82,7 @@ def test_hypothesis_random_instances(seed):
     rng = random.Random(seed)
     num_vars = rng.randint(2, 8)
     clauses = random_clauses(rng, num_vars, rng.randint(1, 24))
-    solver = SatSolver()
+    solver = CdclDriver()
     solver.new_vars(num_vars)
     consistent = True
     for clause in clauses:
@@ -98,7 +98,7 @@ def test_enumeration_matches_brute_force_count(seed):
     rng = random.Random(1000 + seed)
     num_vars = rng.randint(2, 7)
     clauses = random_clauses(rng, num_vars, rng.randint(1, 12))
-    solver = SatSolver()
+    solver = CdclDriver()
     solver.new_vars(num_vars)
     consistent = True
     for clause in clauses:
@@ -145,7 +145,7 @@ class _Mirror:
 
     def __init__(self, total, to_var, clauses, xors):
         self.to_var = to_var
-        self.solver = SatSolver()
+        self.solver = CdclDriver()
         self.solver.new_vars(total)
         self.unconstrained = sorted(set(range(1, total + 1)) - set(to_var))
         for clause in clauses:
@@ -223,7 +223,7 @@ def test_reused_frame_variable_number_starts_unconstrained():
     """A frame-local variable leaves heap entries behind when its frame
     pops; the unconstrained variable that reuses its number is still
     never decided."""
-    solver = SatSolver()
+    solver = CdclDriver()
     solver.new_vars(2)
     solver.add_clause([1, 2])
     solver.push()
@@ -259,7 +259,7 @@ def _random_history(rng, steps=60):
     ``_var_inc``).  Every clause and row holds under one hidden
     assignment, so only blocking clauses make a frame unsatisfiable
     and the searches meet conflicts."""
-    solver = SatSolver()
+    solver = CdclDriver()
     hidden = [None]
 
     def new_var():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.sat import SatSolver
+from repro.sat import CdclDriver
 from tests.sat.test_solver_random import (
     brute_force_count,
     brute_force_sat,
@@ -14,21 +14,21 @@ from tests.sat.test_solver_random import (
 
 class TestXorBasics:
     def test_unit_xor_forces_value(self):
-        solver = SatSolver()
+        solver = CdclDriver()
         solver.new_vars(1)
         solver.add_xor([1], True)
         assert solver.solve() is True
         assert solver.model_value(1) is True
 
     def test_empty_odd_xor_is_unsat(self):
-        solver = SatSolver()
+        solver = CdclDriver()
         solver.new_vars(1)
         # x ^ x = 1 simplifies to 0 = 1.
         assert not solver.add_xor([1, 1], True)
         assert solver.solve() is False
 
     def test_duplicate_vars_cancel(self):
-        solver = SatSolver()
+        solver = CdclDriver()
         solver.new_vars(2)
         # x1 ^ x1 ^ x2 = 1  simplifies to  x2 = 1.
         solver.add_xor([1, 1, 2], True)
@@ -36,7 +36,7 @@ class TestXorBasics:
         assert solver.model_value(2) is True
 
     def test_two_var_equivalence(self):
-        solver = SatSolver()
+        solver = CdclDriver()
         solver.new_vars(2)
         solver.add_xor([1, 2], False)  # x1 = x2
         solver.add_clause([1])
@@ -44,7 +44,7 @@ class TestXorBasics:
         assert solver.model_value(2) is True
 
     def test_xor_chain_propagates(self):
-        solver = SatSolver()
+        solver = CdclDriver()
         solver.new_vars(4)
         solver.add_xor([1, 2], True)
         solver.add_xor([2, 3], True)
@@ -57,7 +57,7 @@ class TestXorBasics:
         assert solver.model_value(4) is False
 
     def test_inconsistent_xor_triangle(self):
-        solver = SatSolver()
+        solver = CdclDriver()
         solver.new_vars(3)
         solver.add_xor([1, 2], True)
         solver.add_xor([2, 3], True)
@@ -65,7 +65,7 @@ class TestXorBasics:
         assert solver.solve() is False
 
     def test_xor_with_level0_fixed_var(self):
-        solver = SatSolver()
+        solver = CdclDriver()
         solver.new_vars(3)
         solver.add_clause([1])  # fixes x1 = true at level 0
         solver.add_xor([1, 2, 3], True)  # x2 ^ x3 = 0
@@ -85,7 +85,7 @@ class TestXorRandom:
             size = rng.randint(1, num_vars)
             variables = rng.sample(range(1, num_vars + 1), size)
             xors.append((variables, rng.random() < 0.5))
-        solver = SatSolver()
+        solver = CdclDriver()
         solver.new_vars(num_vars)
         consistent = True
         for variables, rhs in xors:
@@ -110,7 +110,7 @@ class TestXorRandom:
             size = rng.randint(2, num_vars)
             variables = rng.sample(range(1, num_vars + 1), size)
             xors.append((variables, rng.random() < 0.5))
-        solver = SatSolver()
+        solver = CdclDriver()
         solver.new_vars(num_vars)
         consistent = True
         for clause in clauses:
@@ -134,7 +134,7 @@ class TestXorRandom:
             variables = rng.sample(
                 range(1, num_vars + 1), rng.randint(2, num_vars))
             xors.append((variables, rng.random() < 0.5))
-        solver = SatSolver()
+        solver = CdclDriver()
         solver.new_vars(num_vars)
         consistent = True
         for clause in clauses:
