@@ -14,7 +14,6 @@ from benchmarks.conftest import emit_json
 from repro.sat import CdclDriver
 from repro.smt import (
     Equals, SmtSolver, bv_mul, bv_val, bv_var, fp_add, fp_to_bv, fp_var,
-    real_le, real_val, real_var,
 )
 from repro.smt.theories.lra.delta import DeltaRational
 from repro.smt.theories.lra.simplex import Simplex

@@ -22,7 +22,7 @@ import math
 
 from repro import CountRequest, Problem, Session
 from repro.smt import (
-    And, Equals, Ite, bv_and, bv_lshr, bv_or, bv_val, bv_var,
+    Equals, Ite, bv_and, bv_lshr, bv_or, bv_val, bv_var,
 )
 
 

@@ -23,8 +23,8 @@ Run:  python examples/quantitative_verification.py
 
 from repro import CountRequest, Problem, Session
 from repro.smt import (
-    Equals, bv_extract, bv_val, bv_var, fp_add, fp_from_bv, fp_geq,
-    fp_is_nan, fp_mul, fp_var, fp_to_bv, Not, And,
+    bv_extract, bv_val, bv_var, fp_add, fp_from_bv, fp_geq,
+    fp_is_nan, fp_mul, Not, And,
 )
 from repro.smt.theories.fp.softfloat import FpFormat, SoftFloat
 

@@ -16,7 +16,7 @@ Run:  python examples/software_reachability.py
 
 from repro import CountRequest, Problem, Session
 from repro.smt import (
-    Equals, Iff, Implies, bv_extract, bv_val, bv_var, real_add, real_lt,
+    Equals, Implies, bv_extract, bv_val, bv_var, real_add, real_lt,
     real_val, real_var,
 )
 

@@ -7,9 +7,9 @@ model counter for hybrid SMT formulas, plus the entire substrate it needs
 QF_ABVFPLRA, SMT-LIB front end), the CDM baseline, an exact enumeration
 counter, benchmark generators for the paper's six logics, the harness
 that regenerates every table and figure, :mod:`repro.engine` — the
-parallel execution subsystem (worker pools, iteration fan-out, matrix
-scheduling, fingerprint result cache) — and :mod:`repro.api`, the
-unified counting API every entry point goes through.  See DESIGN.md for
+parallel execution subsystem (worker pools, iteration fan-out) — and
+:mod:`repro.api`, the unified counting API every entry point goes
+through, with its fingerprint result cache.  See DESIGN.md for
 the map.
 
 Typical use::

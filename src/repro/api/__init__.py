@@ -9,9 +9,10 @@ workload; the CLI and the harness are thin clients of it, and new fronts
   file, owning the deterministic serialisation and the cache
   fingerprint;
 * the counter registry (:mod:`repro.api.registry`) — a
-  :class:`Counter` protocol with five pluggable implementations
-  (``pact:xor``, ``pact:prime``, ``pact:shift``, ``cdm``, ``enum``)
-  behind one ``count(problem, request) -> CountResponse`` interface;
+  :class:`Counter` protocol with six pluggable implementations
+  (``pact:xor``, ``pact:prime``, ``pact:shift``, ``cdm``, ``enum``,
+  ``exact:cc``) behind one ``count(problem, request) -> CountResponse``
+  interface;
 * :class:`CountRequest` / :class:`CountResponse`
   (:mod:`repro.api.request`) — how to count and what came back, with the
   shared :class:`repro.status.Status` enum and structured

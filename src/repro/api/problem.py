@@ -14,8 +14,7 @@ and it owns the two canonical serialisations every subsystem shares: the
 deterministic SMT-LIB script (:meth:`Problem.to_script`, what crosses
 process boundaries) and the cache fingerprint (:meth:`Problem.fingerprint`,
 what keys the result cache).  The fingerprint algorithm lives here, next
-to the problem it identifies; the matrix scheduler keys its slots with
-:func:`fingerprint_terms` too.
+to the problem it identifies.
 """
 
 from __future__ import annotations

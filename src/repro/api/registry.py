@@ -1,4 +1,4 @@
-"""The counter registry: one protocol, five pluggable implementations.
+"""The counter registry: one protocol, six pluggable implementations.
 
 Before the API layer, the four evaluation configurations travelled four
 unrelated call paths (``pact_count``, ``cdm_count``, ``exact_count``,

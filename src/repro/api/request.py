@@ -21,40 +21,17 @@ from repro.errors import CounterError
 from repro.status import Status
 
 
-def result_payload(estimate, status, *, exact: bool = False,
-                   time_seconds: float = 0.0, solver_calls: int = 0,
-                   counter: str = "", iterations: int = 0,
-                   detail: str = "") -> dict:
-    """The one writer of the result-store entry schema (the ``payload``
-    column of :class:`repro.serve.store.SqliteStore`'s ``entries``
-    table) — used by :meth:`CountResponse.to_payload` and the matrix
-    scheduler, so the on-disk format has a single definition.
-    The core keys match the pre-API cache format; optional keys are
-    omitted when empty (every reader uses ``.get``).
-    """
-    payload = {"estimate": estimate, "status": str(status),
-               "exact": exact, "time_seconds": time_seconds,
-               "solver_calls": solver_calls}
-    if counter:
-        payload["counter"] = counter
-    if iterations:
-        payload["iterations"] = iterations
-    if detail:
-        payload["detail"] = detail
-    return payload
-
-
 @dataclass(frozen=True)
 class CountRequest:
     """Parameters of one counting run.
 
     ``counter`` is a registry name (``"pact:xor"``, ``"pact:prime"``,
-    ``"pact:shift"``, ``"cdm"``, ``"enum"``; legacy aliases such as
-    ``"pact_xor"`` or bare ``"xor"`` resolve too).  ``epsilon``/``delta``
-    are the PAC guarantee parameters; ``seed`` makes the run
-    reproducible; ``timeout`` is the wall-clock budget in seconds;
-    ``iteration_override`` replaces Algorithm 3's numIt for scaled-down
-    runs; ``limit`` caps the ``enum`` counter's enumeration;
+    ``"pact:shift"``, ``"cdm"``, ``"enum"``, ``"exact:cc"``; legacy
+    aliases such as ``"pact_xor"`` or bare ``"xor"`` resolve too).
+    ``epsilon``/``delta`` are the PAC guarantee parameters; ``seed``
+    makes the run reproducible; ``timeout`` is the wall-clock budget in
+    seconds; ``iteration_override`` replaces Algorithm 3's numIt for
+    scaled-down runs; ``limit`` caps the ``enum`` counter's enumeration;
     ``component_store`` points ``exact:cc`` at a shared on-disk
     component cache (a database file's ``components`` table — counts
     are exact either way, but a warmed store changes how much search a
@@ -158,13 +135,21 @@ class CountResponse:
                    estimates=list(result.estimates))
 
     def to_payload(self) -> dict:
-        """The cache entry payload (a superset of the pre-API format, so
-        old readers keep working)."""
-        return result_payload(
-            self.estimate, self.status, exact=self.exact,
-            time_seconds=self.time_seconds,
-            solver_calls=self.solver_calls, counter=self.counter,
-            iterations=self.iterations, detail=self.detail)
+        """The one writer of the result-store entry schema (the
+        ``payload`` column of :class:`repro.serve.store.SqliteStore`'s
+        ``entries`` table).  The core keys match the pre-API cache
+        format; optional keys are omitted when empty (every reader uses
+        ``.get``)."""
+        payload = {"estimate": self.estimate, "status": str(self.status),
+                   "exact": self.exact, "time_seconds": self.time_seconds,
+                   "solver_calls": self.solver_calls}
+        if self.counter:
+            payload["counter"] = self.counter
+        if self.iterations:
+            payload["iterations"] = self.iterations
+        if self.detail:
+            payload["detail"] = self.detail
+        return payload
 
     @classmethod
     def from_payload(cls, payload: Mapping, *, counter: str,

@@ -7,7 +7,8 @@ three verbs:
 
 * :meth:`Session.count` — one problem, one counter (iteration or
   component fan-out when the pool is a process pool with ``jobs > 1``);
-* :meth:`Session.count_batch` — many problems through the engine with the
+* :meth:`Session.count_batch` — many problems through the engine, under
+  one request or one request each (the evaluation matrix), with the
   fingerprint cache consulted per problem, responses in input order on
   every backend;
 * :meth:`Session.portfolio` — race several counters on one problem under
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.api.problem import Problem
@@ -213,34 +215,47 @@ class Session:
         self._emit(progress, "completed", response)
         return response
 
-    def count_batch(self, problems, request: CountRequest | None = None,
-                    *, progress=None, **overrides) -> list[CountResponse]:
+    def count_batch(
+            self, problems,
+            request: CountRequest | Sequence[CountRequest] | None = None,
+            *, progress=None, **overrides) -> list[CountResponse]:
         """Count many problems; responses come back in input order.
 
-        Problems fan out across the pool as whole units (each worker runs
-        its counter serially); the fingerprint cache is consulted per
-        problem and solved/timed-out outcomes are persisted.  Ordering
-        and estimates are identical on serial, thread and process
-        backends.
+        ``request`` is one :class:`CountRequest` for every problem or a
+        sequence of them, one per problem (the evaluation matrix gives
+        each slot its own counter).  Problems fan out across the pool as
+        whole units (each worker runs its counter serially); the
+        fingerprint cache is consulted per problem and solved/timed-out
+        outcomes are persisted.  Ordering and estimates are identical on
+        serial, thread and process backends.  An interrupt propagates;
+        every outcome stored before it stays on disk.
         """
         problems = list(problems)
-        request = self._request_of(request, overrides)
-        counter = resolve(request.counter)
+        if request is None or isinstance(request, CountRequest):
+            requests = [self._request_of(request, overrides)] * len(problems)
+        else:
+            requests = [self._request_of(each, overrides) for each in request]
+            if len(requests) != len(problems):
+                raise CounterError(
+                    f"count_batch: {len(requests)} requests for "
+                    f"{len(problems)} problems")
+        names = [canonical_name(each.counter) for each in requests]
         responses: list[CountResponse | None] = [None] * len(problems)
         fingerprints: dict[int, str] = {}
         digests: dict[int, str | None] = {}
         tasks: list[Task] = []
-        for index, problem in enumerate(problems):
-            fingerprint = self._fingerprint(problem, request, counter.name)
-            cached = self._lookup(fingerprint, counter.name, problem.name)
+        for index, (problem, request, name) in enumerate(
+                zip(problems, requests, names)):
+            fingerprint = self._fingerprint(problem, request, name)
+            cached = self._lookup(fingerprint, name, problem.name)
             if cached is not None:
                 responses[index] = cached
                 self._emit(progress, "cache-hit", cached)
                 continue
             if fingerprint is not None:
                 fingerprints[index] = fingerprint
-            digests[index] = self._preload_artifact(problem, counter.name)
-            spec = self._spec(problem, request, counter.name)
+            digests[index] = self._preload_artifact(problem, name)
+            spec = self._spec(problem, request, name)
             tasks.append(Task(key=index, fn=_run_spec, args=(spec, None),
                               budget=request.timeout))
 
@@ -248,7 +263,7 @@ class Session:
             index = task_result.key
             response = self._response_of(task_result,
                                          problems[index].name,
-                                         counter.name)
+                                         names[index])
             responses[index] = response
             self._store(fingerprints.get(index), response)
             # Persist the artifact when this process compiled it

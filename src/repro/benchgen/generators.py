@@ -22,8 +22,8 @@ import random
 from repro.benchgen.spec import Instance
 from repro.smt.sorts import BitVecSort
 from repro.smt.terms import (
-    And, Equals, Implies, Not, Or, Term, apply_uf, array_var, bv_add,
-    bv_and, bv_extract, bv_mul, bv_ult, bv_val, bv_var, bv_xor, fp_from_bv,
+    And, Equals, Implies, Or, Term, apply_uf, array_var, bv_add,
+    bv_and, bv_extract, bv_ult, bv_val, bv_var, bv_xor, fp_from_bv,
     fp_leq, fp_lt, fp_var, real_lt, real_val, real_var, select, store, uf,
 )
 from repro.smt.theories.fp.softfloat import FpFormat, SoftFloat

@@ -40,7 +40,9 @@ workers via :mod:`repro.engine`; ``count`` results are bit-identical to
 (default ``.pact-cache/``) so repeated invocations skip solved slots;
 ``--no-cache`` disables it.  A ``--cache-dir`` ending in
 ``.sqlite``/``.sqlite3``/``.db`` is the database file; any other path
-is a directory holding ``pact-cache.sqlite``.
+is a directory holding ``pact-cache.sqlite``.  An interrupt (Ctrl-C, or
+SIGTERM during ``run``) ends every command with ``c interrupted`` and
+exit code 130; ``run`` resumes from its store on the next invocation.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ import argparse
 import pathlib
 import signal
 import sys
+import time
 
 from repro.api import (
     CountRequest, DEFAULT_PORTFOLIO, Problem, Session,
@@ -59,6 +62,7 @@ from repro.harness.accuracy import accuracy_csv, accuracy_plot, run_accuracy
 from repro.harness.cactus import cactus_csv, cactus_plot, cactus_table
 from repro.harness.presets import Preset
 from repro.harness.report import matrix_summary, records_csv
+from repro.harness.runner import run_matrix
 from repro.harness.table1 import run_table1, table1_rows
 from repro.status import Status
 
@@ -268,17 +272,17 @@ def _cmd_serve(args) -> int:
     return asyncio.run(_serve_main(session, config))
 
 
-def _progress_printer(record) -> None:
-    status = Status.OK if record.solved else record.status
-    source = "cache" if record.cached else f"{record.time_seconds:6.2f}s"
-    print(f"  [{record.configuration:>10}] {record.instance:<32} "
-          f"{status:>8} {source:>8}", flush=True)
+def _progress_printer(event) -> None:
+    source = ("cache" if event.kind == "cache-hit"
+              else f"{event.time_seconds:6.2f}s")
+    print(f"  [{event.counter:>10}] {event.problem:<32} "
+          f"{event.status:>8} {source:>8}", flush=True)
 
 
 def _sigterm_as_interrupt() -> None:
-    """Long CLI runs drain on SIGTERM exactly as on Ctrl-C: the pool
-    cancels pending slots, the scheduler flushes the cache, and partial
-    results still land on disk (instead of dying mid-write)."""
+    """Long CLI runs stop on SIGTERM exactly as on Ctrl-C: the pool
+    cancels pending slots and the interrupt reaches :func:`main`; the
+    slots already counted are in the store, which commits every row."""
 
     def handler(signum, frame):
         raise KeyboardInterrupt
@@ -291,7 +295,6 @@ def _sigterm_as_interrupt() -> None:
 
 def _cmd_run(args) -> int:
     """The full evaluation matrix with pool + fingerprint cache."""
-    from repro.engine.scheduler import schedule_matrix
     from repro.harness.report import format_table
     from repro.harness.table1 import table1_suite
 
@@ -305,17 +308,16 @@ def _cmd_run(args) -> int:
           f"backend={pool.backend}, "
           f"cache={'off' if cache is None else cache.path})")
     _sigterm_as_interrupt()
-    run = schedule_matrix(
+    start = time.monotonic()
+    records = run_matrix(
         instances, preset, pool=pool, cache=cache,
         progress=_progress_printer if args.verbose else None)
-    if run.interrupted:
-        print(f"c interrupted: {len(run.records)} slots completed were "
-              f"persisted; the summary below is partial")
 
-    summary = matrix_summary(run, preset)
+    summary = matrix_summary(records, session, time.monotonic() - start,
+                             preset)
     table = format_table(
         ["Logic", "CDM", "pact_prime", "pact_shift", "pact_xor"],
-        table1_rows(run.records),
+        table1_rows(records),
         title=f"Instances counted (preset={preset.name})")
     print(summary)
     print()
@@ -325,7 +327,7 @@ def _cmd_run(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         (out / "run_summary.txt").write_text(
             summary + "\n\n" + table + "\n")
-        (out / "run_records.csv").write_text(records_csv(run.records))
+        (out / "run_records.csv").write_text(records_csv(records))
         print(f"\nwrote {out}/run_summary.txt, run_records.csv")
     return 0
 
@@ -560,6 +562,11 @@ def main(argv=None) -> int:
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        # No partial result is printed: it could read as a whole one.
+        # What was counted before the interrupt is already in the store.
+        print("c interrupted", flush=True)
+        return 130
 
 
 if __name__ == "__main__":

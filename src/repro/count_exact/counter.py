@@ -430,21 +430,23 @@ def count_snapshot(snapshot, projection, *, deadline: Deadline | None = None,
             # An interrupt: surface it as a timeout with its cause on
             # record, not as a bare crash (and never as a short count).
             detail += f" interrupted={type(error).__name__}"
-        if store is not None:
-            store.close()
         return CountResult(
             estimate=None, status=Status.TIMEOUT,
             solver_calls=stats.decisions,
             time_seconds=time.monotonic() - start,
             detail=detail)
+    else:
+        if store is not None:
+            # Flush-on-clean: a completed search's surviving entries are
+            # context-free exact counts; anything a zero scope tainted
+            # was purged before it could reach the log.
+            store.flush_components(search.flushable(), projection)
+    finally:
+        # Every exit closes the store, a lost component worker's too.
+        if store is not None:
+            store.close()
     _merge_driver_stats(stats, driver)
     stats.merge(remote)
-    if store is not None:
-        # Flush-on-clean: a completed search's surviving entries are
-        # context-free exact counts; anything a zero scope tainted was
-        # purged before it could reach the log.
-        store.flush_components(search.flushable(), projection)
-        store.close()
     return CountResult(
         estimate=count, status=Status.OK, exact=True,
         solver_calls=stats.decisions, sat_answers=0,

@@ -110,7 +110,8 @@ def count_parallel(search, scope, pool, deadline, store_path,
     it into the run's stats after the local driver's own counters, so
     the process-wide telemetry is not double counted).  Raises
     :class:`SolverTimeoutError` when any subproblem ran out of budget —
-    a partial product is never returned as a count.
+    a partial product is never returned as a count — and
+    :class:`CounterError` naming the component when a worker was lost.
     """
     driver = search.driver
     stats = search.stats
@@ -159,6 +160,10 @@ def count_parallel(search, scope, pool, deadline, store_path,
                 continue
             if not task_result.ok:
                 error = task_result.error
+                if task_result.worker == f"{pool.backend}-lost":
+                    raise CounterError(
+                        f"{task_result.worker} worker counting component "
+                        f"{index}: {type(error).__name__}: {error}")
                 if isinstance(error, BaseException):
                     raise error
                 raise CounterError(

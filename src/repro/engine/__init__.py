@@ -1,6 +1,6 @@
 """repro.engine: the parallel execution subsystem.
 
-Everything concurrent lives here, behind three seams:
+Everything concurrent lives here, behind two seams:
 
 * :mod:`repro.engine.pool` — :class:`ExecutionPool`, one API over
   serial / thread / process backends with per-task deadlines, graceful
@@ -8,22 +8,17 @@ Everything concurrent lives here, behind three seams:
 * :mod:`repro.engine.fanout` — counting-iteration fan-out: a
   pact/CDM count's iterations as one picklable chain per process, run
   through the serial loop's code, so the parallel median is
-  bit-identical to the serial run;
-* :mod:`repro.engine.scheduler` — the evaluation-matrix scheduler:
-  (configuration, instance) slots dispatched across a pool with
-  per-slot budgets, live progress and the fingerprint result cache
-  (the one store, :class:`repro.serve.store.SqliteStore`).
+  bit-identical to the serial run.
 
-See DESIGN.md ("The engine subsystem") for the determinism contract and
-the cache format.
+Batches, portfolios and the evaluation matrix run over the pool through
+:class:`repro.api.Session`.  See DESIGN.md ("The engine subsystem") for
+the determinism contract.
 """
 
 from repro.engine.fanout import IterationSpec, make_spec, run_iteration
 from repro.engine.pool import BACKENDS, ExecutionPool, Task, TaskResult
-from repro.engine.scheduler import MatrixRun, SlotSpec, schedule_matrix
 
 __all__ = [
-    "BACKENDS", "ExecutionPool", "IterationSpec", "MatrixRun",
-    "SlotSpec", "Task", "TaskResult", "make_spec", "run_iteration",
-    "schedule_matrix",
+    "BACKENDS", "ExecutionPool", "IterationSpec", "Task", "TaskResult",
+    "make_spec", "run_iteration",
 ]

@@ -81,8 +81,8 @@ class IterationSpec:
 
 
 # Per-process parse memo: script digest -> (assertions, projection).
-# Every fanned-out count, session spec and scheduler slot adds an entry,
-# so a long-lived process evicts oldest-first at the cap (dicts are
+# Every fanned-out count and session spec adds an entry, so a
+# long-lived process evicts oldest-first at the cap (dicts are
 # insertion-ordered), under a lock because pool threads write it too.
 # Re-parsing an evicted script gives the same term objects only while
 # something else still holds them (terms are interned weakly).

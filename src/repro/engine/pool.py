@@ -2,10 +2,10 @@
 
 Every concurrent activity in the reproduction — iteration and component
 fan-out inside the counters (over a :attr:`~ExecutionPool.cpu_parallel`
-pool only),
-(configuration, instance) slot dispatch in the harness, portfolio races
-— goes through :class:`ExecutionPool` so that backend choice, per-task
-deadlines, progress reporting and worker accounting live in one place.
+pool only), session batches (the harness's (configuration, instance)
+slots among them), portfolio races — goes through
+:class:`ExecutionPool` so that backend choice, per-task deadlines,
+progress reporting and worker accounting live in one place.
 
 Design notes:
 
@@ -22,10 +22,10 @@ Design notes:
   submitting thread, so callbacks need no locking).
 * **Graceful cancellation.**  On ``KeyboardInterrupt`` the pool cancels
   every not-yet-started task and marks it ``"cancelled"`` before
-  re-raising, so a Ctrl-C mid-matrix still yields a partial report.
+  re-raising, so a Ctrl-C stops a batch without starting more work.
 * **Picklability.**  The process backend requires task callables and
   arguments to be picklable module-level objects; the fan-out and
-  scheduler modules provide such workers.
+  session modules provide such workers.
 * **Telemetry transport.**  The process-wide
   :data:`repro.sat.kernel.TELEMETRY` lives per *process*, so kernel
   work done by a process-backend worker used to vanish from the

@@ -37,14 +37,12 @@ def to_csv(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
     return buffer.getvalue()
 
 
-def matrix_summary(run, preset=None) -> str:
+def matrix_summary(records, session, elapsed: float, preset=None) -> str:
     """The ``run`` command's summary: per-configuration outcomes, cache
-    effectiveness and per-worker timing for a scheduled matrix.
-
-    ``run`` is a :class:`repro.engine.scheduler.MatrixRun`.
-    """
+    effectiveness and per-worker timing for a matrix that ``session``
+    (a :class:`repro.api.Session`) counted in ``elapsed`` seconds."""
     by_configuration: dict[str, dict] = {}
-    for record in run.records:
+    for record in records:
         slot = by_configuration.setdefault(
             record.configuration,
             {"slots": 0, "solved": 0, "cached": 0, "time": 0.0})
@@ -52,33 +50,33 @@ def matrix_summary(run, preset=None) -> str:
         slot["solved"] += 1 if record.solved else 0
         slot["cached"] += 1 if record.cached else 0
         slot["time"] += record.time_seconds
+    hits = sum(1 for record in records if record.cached)
 
     title = "Run summary"
     if preset is not None:
-        instances = len({record.instance for record in run.records})
+        instances = len({record.instance for record in records})
         title += (f" (preset={preset.name}, {instances} instances, "
-                  f"{len(run.records)} slots, "
-                  f"wall {run.elapsed:.2f}s)")
+                  f"{len(records)} slots, wall {elapsed:.2f}s)")
     rows = [[name, stats["slots"], stats["solved"], stats["cached"],
              f"{stats['time']:.2f}"]
             for name, stats in sorted(by_configuration.items())]
-    rows.append(["Total", len(run.records), run.solved,
-                 run.cache_hits,
-                 f"{sum(r.time_seconds for r in run.records):.2f}"])
+    rows.append(["Total", len(records),
+                 sum(1 for record in records if record.solved), hits,
+                 f"{sum(r.time_seconds for r in records):.2f}"])
     lines = [format_table(
         ["configuration", "slots", "solved", "cached", "cpu_s"],
         rows, title=title)]
 
-    looked_up = run.cache_hits + run.cache_misses
-    if looked_up:
-        rate = 100.0 * run.cache_hits / looked_up
-        lines.append(f"cache: {run.cache_hits} hits, "
-                     f"{run.cache_misses} misses ({rate:.1f}% hit rate)")
+    if session.cache is not None and records:
+        rate = 100.0 * hits / len(records)
+        lines.append(f"cache: {hits} hits, {len(records) - hits} misses "
+                     f"({rate:.1f}% hit rate)")
 
-    if run.worker_times:
+    worker_times = session.pool.worker_times
+    if worker_times:
         worker_rows = [[tag, int(count), f"{busy:.2f}"]
                        for tag, (count, busy)
-                       in sorted(run.worker_times.items())]
+                       in sorted(worker_times.items())]
         lines.append(format_table(["worker", "slots", "busy_s"],
                                   worker_rows, title="Workers"))
     return "\n\n".join(lines)

@@ -7,24 +7,20 @@ independent wall-clock budget, like the paper's one-core/8GB/3600s slots.
 The runner owns no dispatch logic: a configuration name (``pact_xor``,
 ``cdm``) is resolved through the :mod:`repro.api.registry` alias table to
 a counter, the instance becomes a :class:`repro.api.Problem`, and the
-preset becomes a :class:`repro.api.CountRequest`.
-
-:func:`run_matrix` delegates to :mod:`repro.engine.scheduler`, which
-dispatches the slots across an :class:`repro.engine.pool.ExecutionPool`
-(serially by default) and can serve repeated slots from the fingerprint
-result cache.
+preset becomes a :class:`repro.api.CountRequest`.  :func:`run_matrix`
+counts every slot in one :meth:`repro.api.Session.count_batch`, so slots
+share the session's pool, result store and artifact store, and a slot's
+cache key is the one every other count of the same problem and request
+uses.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
-# Submodule imports, not `from repro.api import ...`: the engine's
-# scheduler imports this module while `repro.api` may still be mid-init.
 from repro.api.problem import Problem
-from repro.api.registry import resolve
 from repro.api.request import CountRequest, CountResponse
+from repro.api.session import Session
 from repro.benchgen.spec import Instance
 from repro.errors import ReproError
 from repro.harness.presets import Preset
@@ -91,19 +87,16 @@ def record_of(response: CountResponse, configuration: str,
 
 def run_configuration(configuration: str, instance: Instance,
                       preset: Preset) -> RunRecord:
-    """Run one counter configuration on one instance."""
-    start = time.monotonic()
-    problem = Problem.from_instance(instance)
+    """Run one counter configuration on one instance; a configuration
+    the registry does not know becomes an error record."""
     try:
-        counter = resolve(configuration)
-        response = counter.count(problem,
-                                 preset_request(configuration, preset))
+        return run_matrix([instance], preset, (configuration,))[0]
     except ReproError as error:
-        response = CountResponse(
-            estimate=None, status=Status.ERROR, counter=configuration,
-            problem=instance.name, detail=str(error),
-            time_seconds=time.monotonic() - start)
-    return record_of(response, configuration, instance)
+        return record_of(
+            CountResponse(estimate=None, status=Status.ERROR,
+                          counter=configuration, problem=instance.name,
+                          detail=str(error)),
+            configuration, instance)
 
 
 def run_matrix(instances: list[Instance], preset: Preset,
@@ -112,11 +105,22 @@ def run_matrix(instances: list[Instance], preset: Preset,
     """The full evaluation matrix: every configuration on every instance.
 
     ``pool``/``cache`` are optional engine objects (execution pool,
-    fingerprint result cache); the default remains a serial in-process
-    run.  Records come back instance-major, in configuration order,
-    exactly as the serial loop always produced them.
+    :class:`~repro.serve.store.SqliteStore`); the default is a serial
+    in-process run.  ``progress`` receives each slot's
+    :class:`~repro.api.request.ProgressEvent`, cache hits included.
+    Records come back instance-major, in configuration order, on every
+    backend.  An interrupt propagates; the slots stored before it are
+    served from ``cache`` on the next run.
     """
-    from repro.engine.scheduler import schedule_matrix
-    return schedule_matrix(instances, preset,
-                           configurations=configurations, pool=pool,
-                           cache=cache, progress=progress).records
+    problems = [Problem.from_instance(instance) for instance in instances]
+    slots = [(instance, problem, configuration)
+             for instance, problem in zip(instances, problems)
+             for configuration in configurations]
+    responses = Session(pool=pool, cache=cache).count_batch(
+        [problem for _, problem, _ in slots],
+        [preset_request(configuration, preset)
+         for _, _, configuration in slots],
+        progress=progress)
+    return [record_of(response, configuration, instance)
+            for (instance, _, configuration), response
+            in zip(slots, responses)]

@@ -22,13 +22,3 @@ def lit_index(lit: int) -> int:
     if lit > 0:
         return (lit - 1) << 1
     return ((-lit - 1) << 1) | 1
-
-
-def lit_var(lit: int) -> int:
-    """The variable (positive integer) underlying a literal."""
-    return lit if lit > 0 else -lit
-
-
-def lit_sign(lit: int) -> bool:
-    """True for a negative literal."""
-    return lit < 0

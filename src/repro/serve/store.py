@@ -1,8 +1,8 @@
 """The one persistent store: one WAL-mode sqlite database holding
 fingerprint-keyed results (``entries``, the payloads
-:func:`repro.api.request.result_payload` writes), digest-keyed compiled
-artifacts (``artifacts``) and ``exact:cc``'s component counts
-(``components``).
+:meth:`repro.api.request.CountResponse.to_payload` writes),
+digest-keyed compiled artifacts (``artifacts``) and ``exact:cc``'s
+component counts (``components``).
 
 Every mutation is its own transaction and merges on write (``INSERT ..
 ON CONFLICT DO UPDATE`` keeps the first ``saved_at``), so processes

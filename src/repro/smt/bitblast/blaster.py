@@ -54,10 +54,6 @@ class BitBlaster:
         assert isinstance(result, list), f"expected bits for {term!r}"
         return result
 
-    def var_bits(self, term: Term) -> list[int]:
-        """The literal vector of an already-blasted BV variable."""
-        return self.blast_bv(term)
-
     # ------------------------------------------------------------------
     # memo plumbing
     # ------------------------------------------------------------------

@@ -67,12 +67,6 @@ class CnfBuilder:
     def add_clause(self, lits: list[int]) -> None:
         self.solver.add_clause(lits)
 
-    def is_true(self, lit: int) -> bool:
-        return lit == self.true_lit
-
-    def is_false(self, lit: int) -> bool:
-        return lit == self.false_lit
-
     def const(self, value: bool) -> int:
         return self.true_lit if value else self.false_lit
 
@@ -192,9 +186,3 @@ class CnfBuilder:
     def require(self, lit: int) -> None:
         """Assert that ``lit`` holds."""
         self.add_clause([lit])
-
-    def require_equal(self, a: int, b: int) -> None:
-        if a == b:
-            return
-        self.add_clause([-a, b])
-        self.add_clause([a, -b])

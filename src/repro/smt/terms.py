@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 from repro.errors import SortError
 from repro.smt.ops import Op
 from repro.smt.sorts import (
-    ArraySort, ArraySortClass, BitVecSort, BoolSort, FloatSortClass,
+    ArraySort, ArraySortClass, BitVecSort, BoolSort,
     FunctionSort, FunctionSortClass, RealSort, Sort,
 )
 

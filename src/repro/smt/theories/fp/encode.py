@@ -23,8 +23,8 @@ from repro.smt.sorts import (
     ArraySort, BitVecSort, FloatSortClass, FunctionSort, Sort,
 )
 from repro.smt.terms import (
-    And, Distinct, Equals, FALSE, Iff, Ite, Not, Or, TRUE, Term, Xor,
-    apply_uf, array_var, bool_var, bv_add, bv_concat, bv_extract, bv_lshr,
+    And, Distinct, Equals, FALSE, Iff, Ite, Not, Or, Term, Xor,
+    apply_uf, array_var, bv_add, bv_concat, bv_extract, bv_lshr,
     bv_mul, bv_neg, bv_shl, bv_slt, bv_sub, bv_ule, bv_ult, bv_val, bv_var,
     bv_xor, bv_zero_extend, select, store, uf, _mk,
 )

@@ -339,8 +339,3 @@ class SoftFloat:
 
     def __repr__(self) -> str:
         return f"SoftFloat({self.fmt!r})"
-
-
-def softfloat_for(eb: int, sb: int) -> SoftFloat:
-    """Convenience constructor from raw format parameters."""
-    return SoftFloat(FpFormat(eb, sb))

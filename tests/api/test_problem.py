@@ -143,15 +143,3 @@ class TestFingerprint:
             CountRequest(counter="exact:cc").cache_params()) == (
             "057a9fceb8ae2667303634b57e38e18d"
             "ed969ebd8555fdc8fc745651c3621dd1")
-
-    def test_default_slot_fingerprint_is_frozen(self):
-        """Golden key of the matrix scheduler: every ``pact run`` cache
-        entry was written under it, so a default preset must keep
-        producing it byte for byte."""
-        from repro.benchgen.generators import GENERATORS
-        from repro.engine.scheduler import slot_fingerprint
-        from repro.harness.presets import Preset
-        instance = GENERATORS["QF_ABV"](5, width=4)
-        assert slot_fingerprint(instance, "pact_xor", Preset.smoke()) == (
-            "3b995ffd36273a16dc288eac8e89d8b7"
-            "b86486acbf782a9d20867ebbaf8898e3")

@@ -155,6 +155,24 @@ class TestBatch:
         assert ([r.estimate for r in second]
                 == [r.estimate for r in first])
 
+    def test_batch_takes_one_request_per_problem(self, tmp_path):
+        """Each problem under its own request, as the evaluation matrix
+        runs its slots; a slot's row is the one Session.count of the
+        same problem and request reads."""
+        problems = self._problems("bper")[:2]
+        requests = [_request(counter="enum"), _request()]
+        with Session(cache_dir=tmp_path) as session:
+            responses = session.count_batch(problems, requests)
+            single = session.count(problems[1], requests[1])
+        assert [r.counter for r in responses] == ["enum", "pact:xor"]
+        assert single.cached
+        assert single.estimate == responses[1].estimate
+
+    def test_batch_rejects_a_request_per_problem_mismatch(self):
+        from repro.errors import CounterError
+        with pytest.raises(CounterError):
+            Session().count_batch(self._problems("bmis"), [_request()])
+
 
 class TestPortfolio:
     COUNTERS = ("pact:xor", "pact:prime", "cdm")

@@ -8,7 +8,7 @@ import pytest
 
 from repro.api import CountRequest, Problem, Session
 from repro.compile import (
-    compile_counters, compile_digest, compiled_for, peek_compiled,
+    compile_counters, compiled_for, peek_compiled,
     preseed_compile_memo, reset_compile_memo,
 )
 from repro.engine.fanout import make_spec, run_iteration

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.cdm import _integer_root, compose_copies, _xor_hash_term
 from repro.smt import (
-    And, Equals, bv_add, bv_ult, bv_val, bv_var, real_lt, real_val,
+    And, bv_add, bv_ult, bv_val, bv_var, real_lt, real_val,
     real_var,
 )
 from repro.smt.evaluator import evaluate

@@ -10,8 +10,8 @@ import pytest
 from repro import cdm_count, count_projected, exact_count
 from repro.errors import CounterError
 from repro.smt import (
-    And, Equals, Implies, Not, Or, bv_add, bv_and, bv_extract, bv_mul,
-    bv_ult, bv_val, bv_var, bv_xor, real_lt, real_val, real_var,
+    And, Equals, Implies, Or, bv_add, bv_and, bv_mul,
+    bv_ult, bv_val, bv_var, real_lt, real_val, real_var,
 )
 from repro.utils.stats import relative_error
 

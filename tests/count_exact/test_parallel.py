@@ -1,15 +1,18 @@
 """Component-parallel exact counting: bit-identity against the serial
 search, cube-and-conquer splitting, stats/telemetry transport across
 the process boundary, the thread pool's serial work, and
-deadline/interrupt surfacing."""
+deadline/interrupt/lost-worker surfacing."""
 
+import multiprocessing
+import os
 import random
+import signal
 import time
 
 import pytest
 
 import repro.count_exact.parallel as parallel_module
-from repro.api import CountRequest, Problem, resolve
+from repro.api import CountRequest, Problem, Session, resolve
 from repro.count_exact.counter import CcStats, count_snapshot
 from repro.count_exact.parallel import (
     ComponentSpec, _cube_width, count_component_task,
@@ -235,6 +238,46 @@ class TestDeadlines:
         assert result.status is Status.TIMEOUT
         assert result.estimate is None
         assert "interrupted=KeyboardInterrupt" in result.detail
+
+
+_COMPONENT_TASK = parallel_module.count_component_task
+
+
+def _component_worker_dies(spec, budget=None):
+    """A component worker that is SIGKILLed before it counts (only in a
+    pool's child process; the parent would kill the test run)."""
+    if multiprocessing.parent_process() is not None:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _COMPONENT_TASK(spec, budget=budget)
+
+
+def test_a_lost_component_worker_ends_the_count_in_error(monkeypatch,
+                                                         tmp_path):
+    """A component worker process that dies mid-count ends the count in
+    Status.ERROR naming the lost worker, never in a traceback or a
+    partial product; the component store is closed on the way out, and
+    the session's next count succeeds."""
+    from repro.serve.store import SqliteStore
+    x = bv_var("cc_lost", 10)
+    problem = Problem.from_terms([bv_ult(x, bv_val(896, 10))], [x],
+                                 name="cc_lost")
+    request = CountRequest(counter="exact:cc",
+                           component_store=str(tmp_path / "cc.sqlite"))
+    session = Session(jobs=2, backend="process")
+    closed = []
+    close = SqliteStore.close
+    with monkeypatch.context() as patch:
+        # Tasks carry their body by reference to this module.
+        patch.setattr(parallel_module, "count_component_task",
+                      _component_worker_dies)
+        patch.setattr(SqliteStore, "close",
+                      lambda store: closed.append(store) or close(store))
+        lost = session.count(problem, request)
+    assert lost.status is Status.ERROR
+    assert lost.estimate is None
+    assert "process-lost worker counting component 0" in lost.detail
+    assert closed
+    assert session.count(problem, request).estimate == 896
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""The matrix scheduler's result-cache key: ``fingerprint_terms``, what
-``slot_fingerprint`` hashes.  The store itself is tested in
+"""The result-cache key: ``fingerprint_terms``, what
+``Problem.fingerprint`` hashes.  The store itself is tested in
 ``tests/serve/test_store.py``."""
 
 from repro.api.problem import fingerprint_terms

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.smt import (
-    And, Equals, Iff, Ite, Not, SmtSolver, bool_var, bv_add, bv_and,
+    Equals, Iff, Ite, SmtSolver, bool_var, bv_add, bv_and,
     bv_ashr, bv_concat, bv_extract, bv_lshr, bv_mul, bv_neg, bv_not, bv_or,
     bv_sdiv, bv_shl, bv_sign_extend, bv_sle, bv_slt, bv_srem, bv_sub,
     bv_udiv, bv_ule, bv_ult, bv_urem, bv_val, bv_var, bv_xor,

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import UnsupportedFeatureError
 from repro.smt import (
-    And, Equals, Iff, Not, SmtSolver, bool_var, bv_val, bv_var, fp_abs,
+    Equals, Iff, Not, SmtSolver, bool_var, bv_val, bv_var, fp_abs,
     fp_add, fp_eq, fp_from_bv, fp_is_inf, fp_is_nan, fp_is_negative,
     fp_is_normal, fp_is_positive, fp_is_subnormal, fp_is_zero, fp_leq,
     fp_lt, fp_max, fp_min, fp_mul, fp_neg, fp_sub, fp_to_bv, fp_var,

@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import UnsupportedFeatureError
 from repro.smt import (
-    And, Equals, Implies, Ite, Not, Or, SmtSolver, bool_var, real_add,
+    Equals, Ite, Not, Or, SmtSolver, bool_var, real_add,
     real_div, real_ge, real_gt, real_le, real_lt, real_mul, real_neg,
     real_sub, real_val, real_var,
 )

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.smt import (
-    And, Equals, Iff, Implies, Ite, Not, Or, SmtSolver, bool_var, bv_add,
-    bv_mul, bv_ult, bv_val, bv_var, real_le, real_lt, real_val, real_var,
+    And, Equals, Ite, Not, Or, SmtSolver, bool_var, bv_add,
+    bv_ult, bv_val, bv_var, real_lt, real_val, real_var,
 )
 from repro.smt.evaluator import evaluate, satisfies
 from repro.smt.model import Model, default_value, free_variables

@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 
 from repro.smt import (
-    And, Distinct, Equals, Ite, Not, Or, apply_uf, array_var, bool_var,
+    Distinct, Equals, Ite, Or, apply_uf, array_var,
     bv_add, bv_ashr, bv_concat, bv_extract, bv_lshr, bv_mul, bv_sdiv,
     bv_shl, bv_sign_extend, bv_sle, bv_slt, bv_srem, bv_sub, bv_udiv,
     bv_ule, bv_ult, bv_urem, bv_val, bv_var, bv_xor, bv_zero_extend,
-    fp_add, fp_eq, fp_from_bv, fp_is_nan, fp_leq, fp_lt, fp_mul, fp_neg,
+    fp_add, fp_is_nan, fp_leq, fp_mul, fp_neg,
     fp_to_bv, fp_val, fp_var, real_div, real_le, real_lt, real_val,
     real_var, select, store, uf,
 )

@@ -8,11 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.smt import (
     And, Equals, FALSE, Ite, Not, Or, TRUE, Xor, bool_var, bv_add, bv_and,
-    bv_ashr, bv_extract, bv_lshr, bv_mul, bv_neg, bv_not, bv_or, bv_sdiv,
+    bv_ashr, bv_extract, bv_lshr, bv_mul, bv_or, bv_sdiv,
     bv_shl, bv_sle, bv_slt, bv_srem, bv_sub, bv_udiv, bv_ule, bv_ult,
     bv_urem, bv_val, bv_var, bv_xor, bv_concat, bv_sign_extend,
-    bv_zero_extend, real_add, real_le, real_lt, real_mul, real_val,
-    real_var,
+    bv_zero_extend, real_add, real_lt, real_val,
 )
 from repro.smt.evaluator import evaluate
 from repro.smt.rewriter import rewrite

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.smt.theories.fp.softfloat import (
-    FLOAT16, FLOAT32, FLOAT64, FpFormat, SoftFloat,
+    FLOAT32, FLOAT64, FpFormat, SoftFloat,
 )
 
 

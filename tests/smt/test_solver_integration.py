@@ -12,8 +12,8 @@ import pytest
 
 from repro.errors import SolverTimeoutError
 from repro.smt import (
-    And, Equals, Iff, Implies, Ite, Not, Or, SmtSolver, bool_var, bv_add,
-    bv_and, bv_mul, bv_ult, bv_val, bv_var, bv_xor, fp_leq, fp_lt, fp_var,
+    And, Equals, Iff, Implies, Or, SmtSolver, bv_add,
+    bv_and, bv_mul, bv_ult, bv_val, bv_var, bv_xor, fp_lt, fp_var,
     real_le, real_lt, real_val, real_var, fp_from_bv, fp_to_bv,
 )
 from repro.smt.evaluator import evaluate

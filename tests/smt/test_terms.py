@@ -21,10 +21,10 @@ from repro.compile import canonical_digest
 from repro.compile.pipeline import compile_problem
 from repro.errors import SortError
 from repro.smt import (
-    And, BitVecSort, BoolSort, Equals, FALSE, Float32, FloatSort, Ite, Not,
-    Or, RealSort, TRUE, Xor, bool_var, bv_add, bv_concat, bv_extract,
+    And, BitVecSort, BoolSort, Equals, FALSE, Float32, FloatSort, Ite,
+    Or, TRUE, bool_var, bv_add, bv_concat, bv_extract,
     bv_ult, bv_val, bv_var, fp_val, fp_var, real_val, real_var, select,
-    store, array_var, apply_uf, uf,
+    array_var, apply_uf, uf,
 )
 from repro.smt.parser import parse_script
 from repro.smt.sorts import ArraySort

@@ -1,9 +1,16 @@
 """CLI tests (count / enum / generate round trips)."""
 
+import os
+import signal
 import sqlite3
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import cli
 from repro.cli import main
 from repro.count_exact import MAX_CLOSURE_ATOMS
@@ -187,6 +194,47 @@ class TestEngineFlags:
         assert main(["count", str(smt_file), "--cache-dir",
                      str(cache_dir), "--no-cache"]) == 0
         assert "cache hit" not in capsys.readouterr().out
+
+
+class TestInterrupt:
+    def test_an_interrupt_ends_any_command_with_exit_130(
+            self, smt_file, monkeypatch, capsys):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_cmd_count", interrupted)
+        assert main(["count", str(smt_file)]) == 130
+        assert capsys.readouterr().out == "c interrupted\n"
+
+    def test_sigterm_during_run_keeps_the_finished_slots(self, tmp_path):
+        """SIGTERM after the first slot: no partial summary, exit 130,
+        and that slot's row is in the store for the next run."""
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        run = subprocess.Popen(
+            [sys.executable, "-m", "repro", "run", "--preset", "smoke",
+             "--verbose", "--cache-dir", str(tmp_path)],
+            cwd=tmp_path, env=env, stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT, text=True)
+        watchdog = threading.Timer(300, run.kill)
+        watchdog.start()
+        try:
+            lines = []
+            for line in run.stdout:
+                lines.append(line)
+                if line.startswith("  ["):
+                    run.send_signal(signal.SIGTERM)
+                    break
+            lines.extend(run.stdout)
+            assert run.wait() == 130, "".join(lines)
+        finally:
+            watchdog.cancel()
+        output = "".join(lines)
+        assert "c interrupted" in output
+        assert "Run summary" not in output
+        with sqlite3.connect(tmp_path / "pact-cache.sqlite") as conn:
+            (rows,) = conn.execute("SELECT COUNT(*) FROM entries").fetchone()
+        assert rows >= 1
 
 
 class TestPortfolio:
