@@ -71,12 +71,12 @@ SET_ITER_MODULES = DETERMINISM_MODULES + (
     "repro/count_exact/",
 )
 
-# Classes whose instances cross a process boundary (the fan-out layer
-# pickles them).  A lock, lambda, open handle or generator attribute
+# Classes whose instances cross a process boundary (process-pool tasks
+# pickle them).  A lock, lambda, open handle or generator attribute
 # raises at pickle time — on the *process* backend only, long after the
 # change that introduced it passed serial tests.
-PICKLED_CLASSES = frozenset({"ComponentSpec", "IterationSpec", "Task",
-                             "CallCounter"})
+PICKLED_CLASSES = frozenset({"ComponentSpec", "CountRequest",
+                             "IterationSpec", "Problem", "Task"})
 
 # Classes documented as shared across threads: every mutable-attribute
 # write must hold the instance lock (a bare ``self.x += 1`` is a

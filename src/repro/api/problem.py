@@ -11,10 +11,17 @@ tag — independently of *how* it is counted (that is the
 * a generated benchmark instance (:meth:`Problem.from_instance`),
 
 and it owns the two canonical serialisations every subsystem shares: the
-deterministic SMT-LIB script (:meth:`Problem.to_script`, what crosses
-process boundaries) and the cache fingerprint (:meth:`Problem.fingerprint`,
-what keys the result cache).  The fingerprint algorithm lives here, next
-to the problem it identifies.
+deterministic SMT-LIB script (:meth:`Problem.to_script`, its pickled
+form) and the cache fingerprint (:meth:`Problem.fingerprint`, what keys
+the result cache).  The fingerprint algorithm lives here, next to the
+problem it identifies.
+
+A problem crosses a process boundary as itself: it pickles as its script,
+name and compile key, and unpickling parses the script, so the receiving
+process gets its own interned terms (a default pickle would copy the
+terms around the intern table, and the copies would compare unequal to
+every term built there).  Serial and thread pools pass the caller's
+problem by reference and never print it.
 """
 
 from __future__ import annotations
@@ -165,7 +172,28 @@ class Problem:
     def projection_bits(self) -> int:
         return sum(var.sort.width for var in self.projection)
 
+    def __reduce__(self):
+        return (_unpickle, (self.script, self.name, self.compile_key))
+
     def __repr__(self) -> str:
         return (f"Problem({self.name}, {self.logic}, "
                 f"{len(self.assertions)} assertions, "
                 f"|S|={self.projection_bits()} bits)")
+
+
+def _unpickle(script: str, name: str, compile_key: str) -> Problem:
+    """Rebuild a pickled :class:`Problem` by parsing its script.
+
+    The logic comes back from ``(set-logic ...)`` and the projection
+    from ``:projected-vars`` — an empty one too, which
+    :meth:`Problem.from_script` rejects, so the problem is built
+    directly.  The sender's compile key keys this process's compile memo
+    and the session's artifact store.
+    """
+    from repro.smt.parser import parse_script
+    parsed = parse_script(script)
+    problem = Problem(assertions=tuple(parsed.assertions),
+                      projection=tuple(parsed.projection), name=name,
+                      logic=parsed.logic or "ALL")
+    vars(problem)["compile_key"] = compile_key
+    return problem

@@ -15,6 +15,10 @@ three verbs:
   a shared deadline; the first (in requested order) that solves wins and
   the losers are cancelled cooperatively.
 
+A batch slot or portfolio entry is one pool task over its ``(Problem,
+CountRequest)`` pair; only a process pool serialises the pair, the
+problem as its SMT-LIB script.
+
 The CLI and the harness are thin clients of this class; new fronts
 (async services, batch endpoints) should be too.
 """
@@ -29,7 +33,6 @@ from dataclasses import dataclass
 from repro.api.problem import Problem
 from repro.api.registry import canonical_name, resolve
 from repro.api.request import CountRequest, CountResponse, ProgressEvent
-from repro.engine.fanout import parse_cached, preseed_parse_memo
 from repro.engine.pool import ExecutionPool, Task, TaskResult
 from repro.errors import CounterError, ReproError
 from repro.status import Status
@@ -40,56 +43,29 @@ __all__ = ["DEFAULT_PORTFOLIO", "PortfolioResult", "Session"]
 DEFAULT_PORTFOLIO = ("pact:xor", "pact:prime", "pact:shift", "cdm")
 
 
-@dataclass(frozen=True)
-class _CountSpec:
-    """A picklable (problem, request) pair for pool workers.
-
-    The problem travels as its deterministic SMT-LIB serialisation (terms
-    are hash-consed per process; the per-process parse memo in
-    :mod:`repro.engine.fanout` makes re-parsing a one-time cost, and the
-    orchestrator pre-seeds it so serial/thread workers never re-parse).
-    """
-
-    counter: str
-    script: str
-    problem: str
-    logic: str
-    epsilon: float
-    delta: float
-    seed: int
-    timeout: float | None
-    iteration_override: int | None
-    limit: int | None
-    component_store: str | None = None
-
-
-def _run_spec(spec: _CountSpec, cancel=None,
+def _run_spec(problem: Problem, request: CountRequest, cancel=None,
               budget: float | None = None) -> CountResponse:
-    """Worker body: rebuild the problem and run one counter.
+    """Worker body: run one counter on one problem.
 
+    A task carries the ``(problem, request)`` pair itself: serial and
+    thread pools pass the caller's problem by reference, and a process
+    pool pickles it as its script (:meth:`Problem.__reduce__`).
     ``budget`` is the pool's effective per-task allowance (already
-    clamped to any shared batch deadline); ``cancel`` is an optional
-    shared cancel token (thread backend only) that cuts the run short
-    when a portfolio winner is found.
+    clamped to any shared batch deadline) and replaces the request's
+    timeout; ``cancel`` is an optional shared cancel token (thread
+    backend only) that cuts the run short when a portfolio winner is
+    found.
     """
-    assertions, projection = parse_cached(spec.script)
-    problem = Problem(assertions=tuple(assertions),
-                      projection=tuple(projection), name=spec.problem,
-                      logic=spec.logic)
-    request = CountRequest(
-        counter=spec.counter, epsilon=spec.epsilon, delta=spec.delta,
-        seed=spec.seed,
-        timeout=spec.timeout if budget is None else budget,
-        iteration_override=spec.iteration_override, limit=spec.limit,
-        component_store=spec.component_store)
+    if budget is not None:
+        request = request.replace(timeout=budget)
     deadline = (CooperativeDeadline(request.timeout, cancel)
                 if cancel is not None else None)
-    counter = resolve(spec.counter)
+    counter = resolve(request.counter)
     try:
         return counter.count(problem, request, deadline=deadline)
     except ReproError as error:
         return CountResponse(estimate=None, status=Status.ERROR,
-                             counter=counter.name, problem=spec.problem,
+                             counter=counter.name, problem=problem.name,
                              detail=str(error))
 
 
@@ -255,8 +231,8 @@ class Session:
             if fingerprint is not None:
                 fingerprints[index] = fingerprint
             digests[index] = self._preload_artifact(problem, name)
-            spec = self._spec(problem, request, name)
-            tasks.append(Task(key=index, fn=_run_spec, args=(spec, None),
+            tasks.append(Task(key=index, fn=_run_spec,
+                              args=(problem, request, None),
                               budget=request.timeout))
 
         def on_complete(task_result: TaskResult) -> None:
@@ -297,15 +273,13 @@ class Session:
         if not names:
             raise CounterError("portfolio needs at least one counter")
         start = time.monotonic()
-        specs = [self._spec(problem,
-                            request.replace(counter=name, timeout=timeout),
-                            name)
-                 for name in names]
+        requests = [request.replace(counter=name, timeout=timeout)
+                    for name in names]
         if self.pool.parallel:
-            entries = self._race_parallel(problem, names, specs, timeout,
+            entries = self._race_parallel(problem, requests, timeout,
                                           progress)
         else:
-            entries = self._race_serial(problem, names, specs, timeout,
+            entries = self._race_serial(problem, requests, timeout,
                                         progress)
         winner = next((entry.counter for entry in entries if entry.solved),
                       None)
@@ -319,41 +293,43 @@ class Session:
     # ------------------------------------------------------------------
     # portfolio internals
     # ------------------------------------------------------------------
-    def _race_serial(self, problem, names, specs, timeout, progress):
+    def _race_serial(self, problem, requests, timeout, progress):
         deadline = Deadline(timeout)
         entries: list[CountResponse] = []
         solved = False
-        for name, spec in zip(names, specs):
+        for request in requests:
             if solved:
                 response = CountResponse(
-                    estimate=None, status=Status.CANCELLED, counter=name,
-                    problem=problem.name,
+                    estimate=None, status=Status.CANCELLED,
+                    counter=request.counter, problem=problem.name,
                     detail="portfolio: winner already found")
                 entries.append(response)
                 self._emit(progress, "cancelled", response)
                 continue
             remaining = deadline.remaining()
             budget = None if remaining == float("inf") else remaining
-            response = _run_spec(spec, None, budget=budget)
+            response = _run_spec(problem, request, budget=budget)
             solved = solved or response.solved
             entries.append(response)
             self._emit(progress, "completed", response)
         return entries
 
-    def _race_parallel(self, problem, names, specs, timeout, progress):
+    def _race_parallel(self, problem, requests, timeout, progress):
         cancel = (threading.Event() if self.pool.backend == "thread"
                   else None)
         deadline_at = (time.monotonic() + timeout
                        if timeout is not None else None)
-        tasks = [Task(key=index, fn=_run_spec, args=(spec, cancel),
+        tasks = [Task(key=index, fn=_run_spec,
+                      args=(problem, request, cancel),
                       budget=timeout, deadline_at=deadline_at)
-                 for index, spec in enumerate(specs)]
+                 for index, request in enumerate(requests)]
         slots: dict[int, CountResponse] = {}
         state = {"won": False}
 
         def on_complete(task_result: TaskResult) -> None:
-            response = self._response_of(task_result, problem.name,
-                                         names[task_result.key])
+            response = self._response_of(
+                task_result, problem.name,
+                requests[task_result.key].counter)
             if response.solved and not state["won"]:
                 state["won"] = True
                 if cancel is not None:
@@ -372,7 +348,7 @@ class Session:
             self._emit(progress, "completed", response)
 
         self.pool.run(tasks, progress=on_complete)
-        return [slots[index] for index in range(len(specs))
+        return [slots[index] for index in range(len(requests))
                 if index in slots]
 
     # ------------------------------------------------------------------
@@ -381,20 +357,6 @@ class Session:
     def _request_of(self, request, overrides) -> CountRequest:
         base = request if request is not None else self.request
         return base.replace(**overrides) if overrides else base
-
-    def _spec(self, problem: Problem, request: CountRequest,
-              counter: str) -> _CountSpec:
-        script = problem.to_script()
-        # Pre-seed the parse memo: in-process (and forked) workers reuse
-        # the original term objects instead of re-parsing.
-        preseed_parse_memo(script, problem.assertions, problem.projection)
-        return _CountSpec(
-            counter=counter, script=script, problem=problem.name,
-            logic=problem.logic, epsilon=request.epsilon,
-            delta=request.delta, seed=request.seed,
-            timeout=request.timeout,
-            iteration_override=request.iteration_override,
-            limit=request.limit, component_store=request.component_store)
 
     def _preload_artifact(self, problem: Problem,
                           counter: str) -> str | None:

@@ -36,9 +36,8 @@ class CallCounter:
 
     Updates are atomic: one counter may be shared across the thread
     backend of :mod:`repro.engine.pool` (a bare ``+=`` is a
-    read-modify-write that drops increments under concurrency).  The
-    counter pickles without its lock, so it still crosses process
-    boundaries freely.
+    read-modify-write that drops increments under concurrency).  A
+    process worker keeps its own counter and ships plain ints home.
     """
 
     def __init__(self):
@@ -58,15 +57,6 @@ class CallCounter:
         with self._lock:
             self.solver_calls += solver_calls
             self.sat_answers += sat_answers
-
-    def __getstate__(self):
-        return {"solver_calls": self.solver_calls,
-                "sat_answers": self.sat_answers}
-
-    def __setstate__(self, state):
-        self.solver_calls = state["solver_calls"]
-        self.sat_answers = state["sat_answers"]
-        self._lock = threading.Lock()
 
 
 def saturating_count(solver: SmtSolver, projection: list[Term],

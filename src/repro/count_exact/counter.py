@@ -372,9 +372,10 @@ def count_snapshot(snapshot, projection, *, deadline: Deadline | None = None,
     * ``presolve`` — workers skip the shared-lemma presolve pass; the
       parent already ran it on the full formula.
 
-    A deadline expiring mid-search — or a ``KeyboardInterrupt`` — surfaces
-    as ``Status.TIMEOUT`` with the partial stats in ``detail``, never as
-    a silently short count.
+    A deadline expiring mid-search surfaces as ``Status.TIMEOUT`` with
+    the partial stats in ``detail``, never as a silently short count.  A
+    ``KeyboardInterrupt`` propagates, after the component store is
+    closed unflushed.
     """
     start = time.monotonic()
     if deadline is None:
@@ -422,19 +423,14 @@ def count_snapshot(snapshot, projection, *, deadline: Deadline | None = None,
                                        component_store, remote)
             else:
                 count = search.count_scope(scope)
-    except (SolverTimeoutError, KeyboardInterrupt) as error:
+    except SolverTimeoutError:
         _merge_driver_stats(stats, driver)
         stats.merge(remote)
-        detail = stats.as_detail()
-        if not isinstance(error, SolverTimeoutError):
-            # An interrupt: surface it as a timeout with its cause on
-            # record, not as a bare crash (and never as a short count).
-            detail += f" interrupted={type(error).__name__}"
         return CountResult(
             estimate=None, status=Status.TIMEOUT,
             solver_calls=stats.decisions,
             time_seconds=time.monotonic() - start,
-            detail=detail)
+            detail=stats.as_detail())
     else:
         if store is not None:
             # Flush-on-clean: a completed search's surviving entries are

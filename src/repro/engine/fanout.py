@@ -12,14 +12,12 @@ run.  So a chain warm-starts each search from its previous boundary on
 an incremental solver exactly as the serial loop does, and
 :func:`fan_out_iterations` puts the estimates back in iteration order.
 
-An :class:`IterationSpec` carries the problem in its *serialised*
-SMT-LIB form (terms are hash-consed and interned per process, so
-shipping the script text is the safe way to cross a process boundary)
-**plus its artifact digest**: the worker keys the per-process compile
-memo (:mod:`repro.compile.memo`) on the digest, so preprocessing +
-bit-blasting run at most once per (problem, params) per process and
-every chain clones the compiled snapshot — the compiled artifact, not
-the re-parsed script, is the unit of cross-process transfer.
+An :class:`IterationSpec` holds the :class:`repro.api.Problem` itself,
+which pickles as its SMT-LIB script and compile key: a process worker
+parses the script into its own interned terms and compiles under the
+sender's key, so a forked worker finds the artifact in the compile memo
+it inherited (:mod:`repro.compile.memo`) and a spawned one compiles on
+first use; every chain clones the compiled snapshot.
 
 Every random draw of iteration ``i`` derives from ``SeedSequence(seed,
 ..., f"iteration{i}")`` and a warm start only reorders index-pure
@@ -29,20 +27,14 @@ a fresh clone, so a fanned-out count's ``solver_calls`` and kernel
 counters repeat exactly for a fixed ``jobs``.  A lost worker ends the
 count in a :class:`repro.errors.CounterError`, never in a median over
 the chains that survived.
-
-Workers memoise parsing per process keyed by that digest too; the
-orchestrator pre-seeds both memos with its own objects, so forked
-children never re-parse or re-compile at all.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import time
 from dataclasses import dataclass
 
-from repro.compile.memo import compile_digest as _digest
 from repro.engine.pool import Task, _classify
 from repro.errors import CounterError, ResourceBudgetError, SolverTimeoutError
 from repro.sat.kernel import TELEMETRY
@@ -50,7 +42,6 @@ from repro.status import Status
 from repro.utils.deadline import Deadline
 
 __all__ = ["IterationSpec", "fan_out_iterations", "iteration_tasks",
-           "make_spec", "parse_cached", "preseed_parse_memo",
            "run_iteration"]
 
 
@@ -58,81 +49,17 @@ __all__ = ["IterationSpec", "fan_out_iterations", "iteration_tasks",
 class IterationSpec:
     """A picklable description of one counting problem.
 
-    ``algorithm`` is "pact" or "cdm"; ``script`` is the full SMT-LIB
-    serialisation (declarations, ``:projected-vars``, assertions);
-    the remaining fields are the counting parameters an iteration needs.
-    ``digest`` is the script's artifact digest, computed once by
-    :func:`make_spec` and shipped with the spec: workers key the
-    per-process compile memo (and the parse memo) on it directly, so
-    the compiled artifact — not the re-parsed script — is the unit of
-    cross-process transfer.
+    ``algorithm`` is "pact" or "cdm"; ``problem`` is the
+    :class:`repro.api.Problem` being counted; the remaining fields are
+    the counting parameters an iteration needs.
     """
 
     algorithm: str
-    script: str
+    problem: object
     epsilon: float
     delta: float
     family: str
     seed: int
-    digest: str = ""
-
-    def artifact_digest(self) -> str:
-        return self.digest or _digest(self.script)
-
-
-# Per-process parse memo: script digest -> (assertions, projection).
-# Every fanned-out count and session spec adds an entry, so a
-# long-lived process evicts oldest-first at the cap (dicts are
-# insertion-ordered), under a lock because pool threads write it too.
-# Re-parsing an evicted script gives the same term objects only while
-# something else still holds them (terms are interned weakly).
-_PARSE_CAP = 64
-_parse_memo: dict[str, tuple[list, list]] = {}
-_parse_lock = threading.Lock()
-
-
-def _remember_parse(key: str, parsed: tuple[list, list]) -> tuple:
-    """Store ``parsed`` unless ``key`` is already held; the held entry."""
-    with _parse_lock:
-        held = _parse_memo.get(key)
-        if held is not None:
-            return held
-        while len(_parse_memo) >= _PARSE_CAP:
-            _parse_memo.pop(next(iter(_parse_memo)))
-        _parse_memo[key] = parsed
-        return parsed
-
-
-def parse_cached(script: str) -> tuple[list, list]:
-    """(assertions, projection) of ``script``, memoised per process."""
-    key = _digest(script)
-    with _parse_lock:
-        cached = _parse_memo.get(key)
-    if cached is None:
-        from repro.smt.parser import parse_script
-        parsed = parse_script(script)
-        cached = _remember_parse(
-            key, (list(parsed.assertions), list(parsed.projection)))
-    return cached
-
-
-def preseed_parse_memo(script: str, assertions, projection) -> None:
-    """Seed the per-process memo with already-built terms so in-process
-    (and forked) workers never re-parse ``script``."""
-    _remember_parse(_digest(script), (list(assertions), list(projection)))
-
-
-def make_spec(algorithm: str, assertions, projection, *, epsilon: float,
-              delta: float, family: str, seed: int) -> IterationSpec:
-    """Build a spec from in-memory terms, pre-seeding the parse memo so
-    in-process workers reuse the original term objects.  The artifact
-    digest is computed here, once, and travels with the spec."""
-    from repro.smt.printer import write_script
-    script = write_script(list(assertions), projection=list(projection))
-    preseed_parse_memo(script, assertions, projection)
-    return IterationSpec(algorithm=algorithm, script=script,
-                         epsilon=epsilon, delta=delta, family=family,
-                         seed=seed, digest=_digest(script))
 
 
 def iteration_tasks(algorithm: str, assertions, projection, *,
@@ -146,8 +73,12 @@ def iteration_tasks(algorithm: str, assertions, projection, *,
     chain shares it, so a chain dispatched late gets only what is left
     of the counter's total timeout, exactly like the serial loop.
     """
-    spec = make_spec(algorithm, assertions, projection, epsilon=epsilon,
-                     delta=delta, family=family, seed=seed)
+    # Imported here: repro.api imports this package.
+    from repro.api import Problem
+    spec = IterationSpec(
+        algorithm, Problem(assertions=tuple(assertions),
+                           projection=tuple(projection)),
+        epsilon, delta, family, seed)
     chains = min(jobs, num_iterations)
     return [Task(key=chain, fn=_chain_task,
                  args=(spec, tuple(range(chain, num_iterations, chains))),
@@ -223,11 +154,9 @@ def _chain_task(spec: IterationSpec, indices: tuple,
     from repro.core.cells import CallCounter
     from repro.core.search import run_chain
 
-    assertions, projection = parse_cached(spec.script)
     deadline = Deadline(budget)
     calls = CallCounter()
-    solver, iterate = _chain_solver(spec, assertions, projection,
-                                    deadline, calls)
+    solver, iterate = _chain_solver(spec, deadline, calls)
     estimates: list[int] = []
     stopped = None
     try:
@@ -243,11 +172,12 @@ def _chain_task(spec: IterationSpec, indices: tuple,
             "sat_answers": calls.sat_answers, "stopped": stopped}
 
 
-def _chain_solver(spec: IterationSpec, assertions, projection, deadline,
-                  calls):
+def _chain_solver(spec: IterationSpec, deadline, calls):
     """The chain's solver, cloned from the compiled artifact, and the
     counter's iteration closure over it."""
-    digest = spec.artifact_digest()
+    assertions = list(spec.problem.assertions)
+    projection = list(spec.problem.projection)
+    digest = spec.problem.compile_key
     if spec.algorithm == "pact":
         from repro.core.config import PactConfig
         from repro.core.pact import build_solver, iteration_step

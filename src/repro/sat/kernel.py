@@ -307,8 +307,7 @@ class KernelTelemetry:
     Shared by every thread that runs a solve or a count, so all writes
     happen under the instance lock; callers merge a whole stats dict
     once per top-level operation (never per propagation) to keep the
-    lock off the hot path.  Pickles without its lock so fan-out specs
-    that happen to reference it stay process-safe.
+    lock off the hot path.
     """
 
     __slots__ = ("_lock", "totals")
@@ -328,13 +327,6 @@ class KernelTelemetry:
         """A point-in-time copy of the totals (lock-atomic)."""
         with self._lock:
             return dict(self.totals)
-
-    def __getstate__(self):
-        return {"totals": self.snapshot()}
-
-    def __setstate__(self, state):
-        self._lock = threading.Lock()
-        self.totals = dict(state["totals"])
 
 
 #: The process-wide kernel telemetry instance.  ``CdclDriver.solve``

@@ -164,17 +164,26 @@ def test_pickle_fanout_clean_and_getstate_exempt():
             seed: int
         """, "src/repro/engine/fanout.py", "pickle-fanout") == []
 
-    # a class that controls its own pickled form may hold a lock
+    # a class that controls its own pickled form may hold a lock ...
     assert lint("""\
         import threading
 
-        class CallCounter:
+        class ComponentSpec:
             def __init__(self):
                 self.lock = threading.Lock()
 
             def __getstate__(self):
-                return {"solver_calls": 0}
-        """, "src/repro/core/cells.py", "pickle-fanout") == []
+                return {}
+        """, "src/repro/count_exact/parallel.py", "pickle-fanout") == []
+    # ... which the same class without __getstate__ may not
+    findings = lint("""\
+        import threading
+
+        class ComponentSpec:
+            def __init__(self):
+                self.lock = threading.Lock()
+        """, "src/repro/count_exact/parallel.py", "pickle-fanout")
+    assert [(f.rule, f.line) for f in findings] == [("pickle-fanout", 5)]
 
 
 def test_pickle_fanout_ignores_unpoliced_classes():

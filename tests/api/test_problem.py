@@ -1,9 +1,15 @@
-"""Problem: construction fronts, serialisation, fingerprint ownership."""
+"""Problem: construction fronts, serialisation, pickling, fingerprint
+ownership."""
+
+import multiprocessing
+import pickle
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.api import CountRequest, Problem, fingerprint_terms
+from repro.api import CountRequest, Problem, Session, fingerprint_terms
 from repro.benchgen.generators import qf_bvfp
+from repro.compile import canonical_digest
 from repro.errors import CounterError, ReproError
 from repro.smt.parser import parse_script
 from repro.smt.terms import bv_ult, bv_val, bv_var
@@ -104,6 +110,59 @@ class TestSerialisation:
         one = Problem.from_terms(assertions, projection)
         two = Problem.from_terms(assertions, projection)
         assert one.to_script() == two.to_script()
+
+
+def _same_terms(left, right) -> bool:
+    return len(left) == len(right) and all(
+        one is other for one, other in zip(left, right))
+
+
+def _count_here(problem):
+    """What a process makes of ``problem``: its compile key (as carried
+    and as recomputed from its terms), fingerprint, estimate and oracle
+    calls."""
+    response = Session().count(problem, CountRequest(
+        counter="pact:xor", seed=3, iteration_override=3))
+    return (problem.compile_key,
+            canonical_digest(problem.assertions, problem.projection),
+            problem.fingerprint(), response.estimate,
+            response.solver_calls)
+
+
+class TestPickling:
+    """A problem pickles as its script and compile key; unpickling parses
+    the script into the receiving process's interned terms."""
+
+    def test_round_trip_gives_the_same_interned_terms(self):
+        assertions, projection = _terms("pb_pickle")
+        for problem in (Problem.from_terms(assertions, projection,
+                                           name="toy"),
+                        Problem.from_script(SCRIPT, name="s",
+                                            project=["q", "p"]),
+                        # no projection: enum counts it (1 if the
+                        # formula is satisfiable)
+                        Problem(assertions=tuple(assertions),
+                                projection=())):
+            revived = pickle.loads(pickle.dumps(problem))
+            assert _same_terms(revived.assertions, problem.assertions)
+            assert _same_terms(revived.projection, problem.projection)
+            assert revived.name == problem.name
+            assert revived.logic == problem.logic
+            assert revived.compile_key == problem.compile_key
+            assert revived.fingerprint() == problem.fingerprint()
+
+    def test_a_spawned_process_counts_the_same(self):
+        x = bv_var("pb_spawn", 8)
+        problem = Problem.from_terms([bv_ult(x, bv_val(200, 8))], [x],
+                                     name="pb_spawn")
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=1,
+                                 mp_context=context) as executor:
+            remote = executor.submit(_count_here, problem).result(
+                timeout=120)
+        local = _count_here(problem)
+        assert local[0] == local[1]
+        assert remote == local
 
 
 class TestFingerprint:

@@ -6,6 +6,7 @@ import sqlite3
 import pytest
 
 from repro.api import CountRequest, Problem, Session
+from repro.engine.pool import ExecutionPool
 from repro.serve.store import SqliteStore
 from repro.smt.terms import bv_ult, bv_val, bv_var
 from repro.status import Status
@@ -218,6 +219,35 @@ class TestPortfolio:
         assert outcome.solved
         assert len(outcome.entries) == len(self.COUNTERS)
         assert outcome.response.estimate is not None
+
+
+@pytest.mark.parametrize("jobs,backend", [(1, "serial"), (2, "thread")])
+def test_in_process_pools_never_print_the_problem(monkeypatch, jobs,
+                                                  backend):
+    """Serial and thread pools hand workers the caller's Problem itself:
+    with printing broken, a batch (two problems x two counters) and a
+    portfolio still give the serial answers."""
+    problems = [_problem(f"ss_ref_{i}", bound=150 + 13 * i)
+                for i in range(2)]
+    requests = [_request(), _request(counter="exact:cc")]
+    slots = [(problem, request) for request in requests
+             for problem in problems]
+    race = ("exact:cc", "enum")
+
+    def answers(session):
+        batch = session.count_batch([problem for problem, _ in slots],
+                                    [request for _, request in slots])
+        outcome = session.portfolio(problems[0], race, _request())
+        return ([(r.counter, r.status, r.estimate, r.estimates)
+                 for r in batch], outcome.response.estimate)
+
+    expected = answers(Session())
+
+    def unprintable(problem):
+        raise AssertionError(f"{problem.name} was printed")
+
+    monkeypatch.setattr(Problem, "script", property(unprintable))
+    assert answers(Session(pool=ExecutionPool(jobs, backend))) == expected
 
 
 class TestArtifactStore:

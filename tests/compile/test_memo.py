@@ -11,7 +11,7 @@ from repro.compile import (
     compile_counters, compiled_for, peek_compiled,
     preseed_compile_memo, reset_compile_memo,
 )
-from repro.engine.fanout import make_spec, run_iteration
+from repro.engine.fanout import IterationSpec, run_iteration
 from repro.engine.pool import ExecutionPool
 from repro.smt.terms import bv_ult, bv_val, bv_var
 
@@ -126,8 +126,9 @@ class TestFanOutExactlyOnce:
         # process-local memo must record at most one build for the key.
         assertions, projection = _formula("memo_proc", width=12,
                                           bound=3000)
-        spec = make_spec("pact", assertions, projection, epsilon=0.8,
-                         delta=0.2, family="xor", seed=3)
+        spec = IterationSpec(
+            "pact", Problem.from_terms(assertions, projection),
+            epsilon=0.8, delta=0.2, family="xor", seed=3)
         pool = ExecutionPool(jobs=2, backend="process")
         results = pool.map(_iterations_then_builds,
                            [(spec,), (spec,), (spec,), (spec,)],
@@ -145,5 +146,5 @@ def _iterations_then_builds(spec, budget=None):
                  for index in range(2)]
     per_key = compile_counters()["per_key"]
     builds = sum(count for key, count in per_key.items()
-                 if key[0] == spec.artifact_digest())
+                 if key[0] == spec.problem.compile_key)
     return estimates, builds

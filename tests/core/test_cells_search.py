@@ -148,17 +148,6 @@ class TestCallCounterAtomicity:
         assert calls.solver_calls == threads * merges * 3
         assert calls.sat_answers == threads * merges * 2
 
-    def test_pickle_roundtrip_drops_lock_keeps_counts(self):
-        import pickle
-        calls = CallCounter()
-        calls.record(True)
-        calls.record(False)
-        clone = pickle.loads(pickle.dumps(calls))
-        assert clone.solver_calls == 2
-        assert clone.sat_answers == 1
-        clone.record(True)  # still usable (fresh lock)
-        assert clone.sat_answers == 2
-
 
 class TestFindBoundary:
     def synthetic(self, sizes):

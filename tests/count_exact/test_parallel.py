@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import random
 import signal
+import sqlite3
 import time
 
 import pytest
@@ -224,20 +225,49 @@ class TestDeadlines:
         assert result.status is Status.TIMEOUT
         assert result.estimate is None
 
-    def test_keyboard_interrupt_surfaces_as_timeout(self, monkeypatch):
-        """A KeyboardInterrupt mid-search surfaces as TIMEOUT with the
-        cause named in detail, not as a bare crash."""
+    def test_keyboard_interrupt_propagates(self, monkeypatch, tmp_path):
+        """A KeyboardInterrupt mid-search reaches the caller, as it does
+        from every other counter, and the component store is closed on
+        the way out."""
         from repro.count_exact import counter as counter_module
+        from repro.serve.store import SqliteStore
+        monkeypatch.setattr(counter_module._Search, "count_scope",
+                            _interrupt)
+        closed = []
+        close = SqliteStore.close
+        monkeypatch.setattr(SqliteStore, "close",
+                            lambda store: closed.append(store) or close(store))
+        with pytest.raises(KeyboardInterrupt):
+            count_snapshot(random_snapshot(0), PROJECTION,
+                           component_store=str(tmp_path / "cc.sqlite"))
+        assert closed
 
-        def explode(self, scope):
-            raise KeyboardInterrupt()
+    def test_an_interrupted_count_stores_no_result(self, monkeypatch,
+                                                   tmp_path):
+        """An interrupted exact:cc count under a session store raises and
+        leaves no ``entries`` row, so the next count computes afresh
+        instead of serving a cached timeout."""
+        from repro.count_exact import counter as counter_module
+        x = bv_var("cc_interrupted", 10)
+        problem = Problem.from_terms([bv_ult(x, bv_val(896, 10))], [x],
+                                     name="cc_interrupted")
+        request = CountRequest(counter="exact:cc")
+        with monkeypatch.context() as patch:
+            patch.setattr(counter_module._Search, "count_scope",
+                          _interrupt)
+            with pytest.raises(KeyboardInterrupt):
+                Session(cache_dir=tmp_path).count(problem, request)
+        with sqlite3.connect(tmp_path / "pact-cache.sqlite") as connection:
+            assert connection.execute(
+                "SELECT COUNT(*) FROM entries").fetchone() == (0,)
+        again = Session(cache_dir=tmp_path).count(problem, request)
+        assert again.estimate == 896
+        assert not again.cached
 
-        monkeypatch.setattr(counter_module._Search, "count_scope", explode)
-        snapshot = random_snapshot(0)
-        result = count_snapshot(snapshot, PROJECTION)
-        assert result.status is Status.TIMEOUT
-        assert result.estimate is None
-        assert "interrupted=KeyboardInterrupt" in result.detail
+
+def _interrupt(search, scope):
+    """A ``_Search.count_scope`` that is interrupted at once."""
+    raise KeyboardInterrupt()
 
 
 _COMPONENT_TASK = parallel_module.count_component_task

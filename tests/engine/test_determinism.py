@@ -12,7 +12,8 @@ hash families and for CDM.  (A thread pool runs the serial chain itself;
 import pytest
 
 from repro import cdm_count, count_projected, exact_count
-from repro.engine import ExecutionPool, make_spec, run_iteration
+from repro.api import Problem
+from repro.engine import ExecutionPool, IterationSpec, run_iteration
 from repro.sat.kernel import TELEMETRY
 from repro.smt import bv_ult, bv_val, bv_var
 
@@ -59,8 +60,8 @@ def test_run_iteration_is_pure(family):
     """The unit of work returns the same estimate on repeated calls and
     matches the corresponding serial iteration."""
     assertions, projection = _formula(f"det_pure_{family}")
-    spec = make_spec("pact", assertions, projection, epsilon=0.8,
-                     delta=0.2, family=family, seed=SEED)
+    spec = IterationSpec("pact", Problem.from_terms(assertions, projection),
+                         epsilon=0.8, delta=0.2, family=family, seed=SEED)
     serial = count_projected(assertions, projection, family=family,
                              seed=SEED, iteration_override=ITERATIONS)
     for index in (0, ITERATIONS - 1):
