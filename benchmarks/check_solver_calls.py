@@ -18,6 +18,9 @@ kernel (``repro.sat.kernel``) on the same smoke formula:
   its columns are a pure function of (problem, parameters, ``jobs``) —
   and its estimate is gated against the serial row's (a thread pool
   runs the serial chain and would repeat the ``xor`` row);
+* the ``cdm:j2`` row runs the ``cdm`` row's formula fanned out over
+  a 2-worker process pool, so CDM's chains run the same counter method
+  as its serial loop; its estimate is gated against the ``cdm`` row's;
 * the ``enum`` row drives the CDCL driver's projected-model
   enumeration alone (no hash frames, one block per model), and its
   count must stay exact;
@@ -139,6 +142,21 @@ def measure() -> dict:
     results["cdm"] = {"solver_calls": cdm.solver_calls,
                       "estimate": cdm.estimate,
                       **_kernel_delta(before, "cdm.")}
+    # CDM's fan-out row: the cdm row's formula, its two repetitions run
+    # as one chain per worker process.
+    x = bv_var("ci_cdm_j2", CDM_WIDTH)
+    before = TELEMETRY.snapshot()
+    cdm_fanned = cdm_count([bv_ult(x, bv_val(cdm_bound, CDM_WIDTH))], [x],
+                           seed=SEED, iteration_override=CDM_ITERATIONS,
+                           timeout=300,
+                           pool=ExecutionPool(jobs=2, backend="process"))
+    assert cdm_fanned.solved, "cdm:j2: smoke instance did not solve"
+    assert cdm_fanned.estimate == cdm.estimate, (
+        f"cdm:j2 diverged from serial: {cdm_fanned.estimate} != "
+        f"{cdm.estimate}")
+    results["cdm:j2"] = {"solver_calls": cdm_fanned.solver_calls,
+                         "estimate": cdm_fanned.estimate,
+                         **_kernel_delta(before, "cdm.")}
     x = bv_var("ci_enum", WIDTH)
     before = TELEMETRY.snapshot()
     enum = exact_count([bv_ult(x, bv_val(bound, WIDTH))], [x], timeout=300)
@@ -194,8 +212,8 @@ def main() -> int:
         return 0
     baseline = json.loads(BASELINE_PATH.read_text())
     failed = False
-    keys = list(FAMILIES) + ["xor:j2", "xor:bvfp", "cdm", "enum", "exact:cc",
-                             "exact:cc:par", "exact:cc:lra"]
+    keys = list(FAMILIES) + ["xor:j2", "xor:bvfp", "cdm", "cdm:j2", "enum",
+                             "exact:cc", "exact:cc:par", "exact:cc:lra"]
     for family in keys:
         got = measured[family]
         want = baseline[family]

@@ -75,8 +75,9 @@ SET_ITER_MODULES = DETERMINISM_MODULES + (
 # pickle them).  A lock, lambda, open handle or generator attribute
 # raises at pickle time — on the *process* backend only, long after the
 # change that introduced it passed serial tests.
-PICKLED_CLASSES = frozenset({"ComponentSpec", "CountRequest",
-                             "IterationSpec", "Problem", "Task"})
+PICKLED_CLASSES = frozenset({"CdmMethod", "ComponentSpec", "CountRequest",
+                             "PactConfig", "PactMethod", "Problem",
+                             "Task"})
 
 # Classes documented as shared across threads: every mutable-attribute
 # write must hold the instance lock (a bare ``self.x += 1`` is a
@@ -118,7 +119,6 @@ _COUNTER_MODULES = frozenset({
 })
 _REGISTRY_ALLOWED = (
     "repro/api/", "repro/core/", "repro/count_exact/",
-    "repro/engine/fanout.py",
     # the package root re-exports the entry points as public API
     "repro/__init__.py",
 )

@@ -160,9 +160,8 @@ class Problem:
         Compiled at most once per problem per process: the per-process
         compile memo is keyed by the canonical script digest — the
         *logic-free* serialisation the counters themselves hash
-        (:func:`repro.core.pact.compile_counting_problem`) — so
-        sessions, fan-out workers, the counters and the CLI all share
-        one artifact.
+        (:func:`repro.compile.canonical_digest`) — so sessions, fan-out
+        workers, the counters and the CLI all share one artifact.
         """
         from repro.compile import compiled_for
         return compiled_for(list(self.assertions), list(self.projection),

@@ -8,15 +8,14 @@ on-disk artifact cache.  See DESIGN.md section 5.
 
 from repro.compile.artifact import CompiledProblem, CompileStats
 from repro.compile.memo import (
-    canonical_digest, compile_counters, compile_digest, compiled_for,
-    peek_compiled, preseed_compile_memo, reset_compile_memo,
+    canonical_digest, compile_counters, compiled_for, peek_compiled,
+    preseed_compile_memo, reset_compile_memo,
 )
 from repro.compile.pipeline import compile_problem
 from repro.compile.simplify import STAGES
 
 __all__ = [
     "STAGES", "CompileStats", "CompiledProblem", "canonical_digest",
-    "compile_counters", "compile_digest", "compile_problem",
-    "compiled_for", "peek_compiled", "preseed_compile_memo",
-    "reset_compile_memo",
+    "compile_counters", "compile_problem", "compiled_for",
+    "peek_compiled", "preseed_compile_memo", "reset_compile_memo",
 ]

@@ -26,8 +26,7 @@ from repro.compile.pipeline import compile_problem
 
 __all__ = [
     "canonical_digest", "compile_counters", "compiled_for",
-    "compile_digest", "peek_compiled", "preseed_compile_memo",
-    "reset_compile_memo",
+    "peek_compiled", "preseed_compile_memo", "reset_compile_memo",
 ]
 
 # Artifacts are a few hundred KB at most; a long-lived worker serving
@@ -46,21 +45,16 @@ _memo_lock = threading.Lock()
 _key_locks: dict[tuple, threading.Lock] = {}
 
 
-def compile_digest(script: str) -> str:
-    """The canonical artifact digest of a serialised problem."""
-    return hashlib.sha256(script.encode()).hexdigest()
-
-
 def canonical_digest(assertions, projection) -> str:
     """The artifact digest of in-memory terms — THE one recipe every
     layer shares (counters, ``Problem.compile``, the session's artifact
-    store, fan-out specs): the digest of the *logic-free* canonical
+    store, fan-out chains): the SHA-256 of the *logic-free* canonical
     serialisation.  Keeping a single definition is load-bearing: if two
     layers hashed different serialisations of the same problem, the
     memo and the artifact store would silently stop matching."""
     from repro.smt.printer import write_script
-    return compile_digest(write_script(list(assertions),
-                                       projection=list(projection)))
+    script = write_script(list(assertions), projection=list(projection))
+    return hashlib.sha256(script.encode()).hexdigest()
 
 
 def _key(digest: str, kind: str, extra: tuple) -> tuple:
@@ -75,16 +69,19 @@ def _evict_to_cap(incoming: tuple) -> None:
         _builds.pop(evicted, None)
 
 
-def compiled_for(assertions, projection, *, digest: str,
+def compiled_for(assertions, projection, *, digest: str | None = None,
                  kind: str = "pact", extra: tuple = ()) -> CompiledProblem:
     """The memoised compile front door.
 
-    ``digest`` identifies the serialised problem (script digest);
-    ``kind``/``extra`` distinguish derived formulas compiled from the
-    same script (CDM compiles the q-fold self-composition, so its key
-    carries ``("cdm", copies)``).  Exactly one pipeline run happens per
-    key per process, even under thread fan-out.
+    ``digest`` identifies the problem (its compile key; by default the
+    :func:`canonical_digest` of the terms given); ``kind``/``extra``
+    distinguish derived formulas compiled under the same problem (CDM
+    compiles the q-fold self-composition, so its key carries
+    ``("cdm", copies)``).  Exactly one pipeline run happens per key per
+    process, even under thread fan-out.
     """
+    if digest is None:
+        digest = canonical_digest(assertions, projection)
     key = _key(digest, kind, extra)
     with _memo_lock:
         artifact = _memo.get(key)

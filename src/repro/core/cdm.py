@@ -19,6 +19,9 @@ Mechanics implemented here:
 The q-fold formula size increase is why CDM times out where pact does not
 (Table I / Fig. 1).
 
+CDM is the same hashing scheme as pact with a different hash family,
+threshold and formula, so :func:`cdm_count` runs pact's outer loop,
+:func:`repro.core.search.approximate_count`, with a :class:`CdmMethod`.
 Like pact, iterations are independent: every random draw of iteration
 ``i`` comes from ``SeedSequence(seed, "cdm").child(f"iteration{i}")``, so
 the iterations can run serially or fan out across a process
@@ -33,15 +36,13 @@ iteration's boundary — both change only the probe order, never the
 from __future__ import annotations
 
 import math
-import time
+from dataclasses import dataclass
 
 from repro.core.cells import SATURATED, CallCounter, saturating_count
 from repro.core.ladder import HashLadder
 from repro.core.result import CountResult
-from repro.core.search import find_boundary, run_chain
+from repro.core.search import approximate_count, find_boundary
 from repro.core.slicing import dedupe_projection, total_bits
-from repro.errors import ResourceBudgetError, SolverTimeoutError
-from repro.sat.kernel import TELEMETRY
 from repro.smt.model import free_variables
 from repro.smt.parser import substitute
 from repro.smt.solver import SmtSolver
@@ -50,10 +51,8 @@ from repro.smt.terms import (
     Equals, Not, TRUE, Term, Xor, bool_var, bv_extract, bv_val, bv_var,
     fp_var, real_var, array_var, uf,
 )
-from repro.status import Status
 from repro.utils.deadline import Deadline
 from repro.utils.rng import SeedSequence
-from repro.utils.stats import median
 
 # Factor-2 pivot: thresh for eps = 1 in the standard formula.
 _PIVOT = 1 + math.ceil(9.84 * (1 + 1 / 2) * (1 + 1 / 1) ** 2)
@@ -103,26 +102,21 @@ def compose_copies(assertions: list[Term], projection: list[Term],
 
 
 def build_cdm_solver(assertions: list[Term], projection: list[Term],
-                     copies: int, *, script: str | None = None,
-                     digest: str | None = None):
+                     copies: int, *, digest: str | None = None):
     """A counting solver over the q-fold self-composition, plus its
     flattened per-copy projection list.
 
     The composed formula is compiled once per (problem, q) per process
-    (see :mod:`repro.compile`); the memo key carries the *original*
-    problem's script digest plus ``("cdm", q)`` so pact and CDM
-    artifacts for the same script never collide.
+    (see :mod:`repro.compile`); the memo key carries ``digest`` (the
+    counter passes the *original* problem's compile key) plus
+    ``("cdm", q)`` so pact and CDM artifacts for the same problem never
+    collide.
     """
-    from repro.core.pact import compile_counting_problem
-    if digest is None:
-        from repro.compile import canonical_digest, compile_digest
-        digest = (compile_digest(script) if script is not None
-                  else canonical_digest(assertions, projection))
+    from repro.compile import compiled_for
     composed, projections = compose_copies(assertions, projection, copies)
     flat_projection = [var for group in projections for var in group]
-    artifact = compile_counting_problem(
-        composed, flat_projection, digest=digest, kind="cdm",
-        extra=(copies,))
+    artifact = compiled_for(composed, flat_projection, digest=digest,
+                            kind="cdm", extra=(copies,))
     return SmtSolver.from_compiled(artifact), flat_projection
 
 
@@ -187,19 +181,43 @@ def cdm_iteration_estimate(solver: SmtSolver, flat_projection: list[Term],
     return _integer_root(composed_estimate, copies), boundary
 
 
-def cdm_iteration_step(solver: SmtSolver, flat_projection: list[Term],
-                       seed: int, copies: int, deadline: Deadline,
-                       calls: CallCounter):
-    """``iterate(index, warm_start) -> (estimate, boundary)`` for
-    :func:`run_chain`: one :func:`cdm_iteration_estimate` on ``solver``,
-    shared by the serial loop and the fan-out workers."""
-    max_index = total_bits(flat_projection)
+@dataclass(frozen=True)
+class CdmMethod:
+    """CDM with ``copies`` self-composed copies for
+    :func:`repro.core.search.approximate_count`; picklable, so a fan-out
+    chain runs the same :meth:`prepare` in its worker."""
 
-    def iterate(index: int, warm_start: int) -> tuple[int, int]:
-        return cdm_iteration_estimate(
-            solver, flat_projection, seed, copies, max_index, deadline,
-            calls, index, warm_start=warm_start)
-    return iterate
+    seed: int
+    copies: int
+    family = "cdm"
+    prefix = "cdm."
+
+    @property
+    def detail(self) -> str:
+        return f"q={self.copies}"
+
+    def prepare(self, assertions, projection, digest, deadline,
+                calls: CallCounter):
+        """``(solver, initial, iterate)`` over the q-fold composition:
+        the solver, the exact probe and one
+        :func:`cdm_iteration_estimate` per ``iterate(index,
+        warm_start)``."""
+        solver, flat_projection = build_cdm_solver(
+            assertions, projection, self.copies, digest=digest)
+        max_index = total_bits(flat_projection)
+
+        def initial():
+            count = saturating_count(solver, flat_projection, _PIVOT,
+                                     deadline, calls)
+            # Exact count of N^q; N is its exact integer q-th root.
+            return (None if count is SATURATED
+                    else _integer_root(count, self.copies))
+
+        def iterate(index: int, warm_start: int) -> tuple[int, int]:
+            return cdm_iteration_estimate(
+                solver, flat_projection, self.seed, self.copies, max_index,
+                deadline, calls, index, warm_start=warm_start)
+        return solver, initial, iterate
 
 
 def cdm_count(assertions, projection: list[Term], epsilon: float = 0.8,
@@ -217,58 +235,16 @@ def cdm_count(assertions, projection: list[Term], epsilon: float = 0.8,
     """
     if isinstance(assertions, Term):
         assertions = [assertions]
-    assertions = list(assertions)
-    # Same guard as pact_count: duplicates double-count projection bits.
-    projection = dedupe_projection(list(projection))
-    start = time.monotonic()
     if deadline is None:
         deadline = Deadline(timeout)
-    copies = copy_count(epsilon)
     iterations = math.ceil(17 * math.log(3 / delta))
     if iteration_override is not None:
         iterations = iteration_override
-    calls = CallCounter()
-    estimates: list[int] = []
-    solver = None
-
-    def finish(estimate, status=Status.OK, exact=False):
-        if solver is not None:
-            TELEMETRY.merge(solver.sat.stats, prefix="cdm.")
-        return CountResult(
-            estimate=estimate, status=status, exact=exact,
-            solver_calls=calls.solver_calls, sat_answers=calls.sat_answers,
-            iterations=len(estimates),
-            time_seconds=time.monotonic() - start,
-            family="cdm", detail=f"q={copies}", estimates=list(estimates))
-
-    try:
-        solver, flat_projection = build_cdm_solver(
-            assertions, projection, copies, digest=digest)
-
-        initial = saturating_count(solver, flat_projection, _PIVOT,
-                                   deadline, calls)
-        if initial is not SATURATED:
-            # Exact count of N^q; N is its exact integer q-th root.
-            return finish(_integer_root(initial, copies), exact=True)
-
-        if pool is not None and pool.cpu_parallel and iterations > 1:
-            from repro.engine.fanout import fan_out_iterations
-            status = fan_out_iterations(
-                pool, "cdm", assertions, projection, epsilon=epsilon,
-                delta=delta, family="cdm", seed=seed,
-                num_iterations=iterations, deadline=deadline,
-                calls=calls, estimates=estimates)
-            if status is not None:
-                return finish(None, status=status)
-        else:
-            run_chain(cdm_iteration_step(solver, flat_projection, seed,
-                                         copies, deadline, calls),
-                      range(iterations), estimates)
-        return finish(median(estimates))
-    except SolverTimeoutError:
-        return finish(None, status=Status.TIMEOUT)
-    except ResourceBudgetError:
-        return finish(None, status=Status.BUDGET)
+    # Same guard as pact_count: duplicates double-count projection bits.
+    return approximate_count(
+        CdmMethod(seed, copy_count(epsilon)), list(assertions),
+        dedupe_projection(list(projection)), iterations=iterations,
+        digest=digest, deadline=deadline, pool=pool)
 
 
 def _integer_root(value: int, degree: int) -> int:

@@ -16,23 +16,25 @@ bit-identical per-iteration estimates — cell counts are exact and every
 random draw is a pure function of (seed, family, iteration index).  A
 thread pool runs the serial chain: under the GIL it cannot run two.
 
-Both paths run :func:`repro.core.search.run_chain` over
-:func:`iteration_step`, so each boundary search warm-starts from the
-previous iteration's boundary (section III-C's gallop): the boundary
-and the boundary cell count are pure functions of the hash index, so
-the probe order — the only thing a warm start changes — cannot change
-the estimate, it only cuts the number of oracle calls.  Probes run on
-an incremental :class:`repro.core.ladder.HashLadder` (one nested solver
-frame per hash index) so moving the probe from index i to j re-asserts
-only the ``|i - j|`` delta instead of rebuilding the whole prefix
-(section III-F's incremental solving, with learnt-clause retention in
-the SAT core underneath).
+:func:`pact_count` runs :func:`repro.core.search.approximate_count`
+(the outer loop pact shares with CDM) with a :class:`PactMethod`, so
+serial and fanned-out iterations alike run ``run_chain`` over
+:meth:`PactMethod.prepare`'s closure, and each boundary search
+warm-starts from the previous iteration's boundary (section III-C's
+gallop): the boundary and the boundary cell count are pure functions
+of the hash index, so the probe order — the only thing a warm start
+changes — cannot change the estimate, it only cuts the number of oracle
+calls.  Probes run on an incremental :class:`repro.core.ladder.HashLadder`
+(one nested solver frame per hash index) so moving the probe from index
+i to j re-asserts only the ``|i - j|`` delta instead of rebuilding the
+whole prefix (section III-F's incremental solving, with learnt-clause
+retention in the SAT core underneath).
 """
 
 from __future__ import annotations
 
 import math
-import time
+from dataclasses import dataclass
 
 from repro.core.cells import SATURATED, CallCounter, saturating_count
 from repro.core.config import PactConfig
@@ -40,52 +42,23 @@ from repro.core.constants import get_constants
 from repro.core.hashes import generate_hash
 from repro.core.ladder import HashLadder
 from repro.core.result import CountResult
-from repro.core.search import find_boundary, run_chain
+from repro.core.search import approximate_count, find_boundary
 from repro.core.slicing import dedupe_projection, total_bits
-from repro.errors import CounterError, ResourceBudgetError, SolverTimeoutError
-from repro.sat.kernel import TELEMETRY
+from repro.errors import CounterError
 from repro.smt.solver import SmtSolver
-from repro.status import Status
 from repro.smt.terms import Term
 from repro.utils.deadline import Deadline
 from repro.utils.rng import SeedSequence
-from repro.utils.stats import median
-
-
-def compile_counting_problem(assertions: list[Term],
-                             projection: list[Term], *,
-                             script: str | None = None,
-                             digest: str | None = None,
-                             kind: str = "pact", extra: tuple = ()):
-    """Compile (formula, projection) once per process (memoised).
-
-    The memo (and artifact-store) key is ``digest`` when the caller
-    already has one (fan-out specs ship it), else the digest of
-    ``script``, else of the canonical serialisation printed here
-    (:func:`repro.compile.canonical_digest` — one shared recipe).
-    ``kind``/``extra`` distinguish derived formulas compiled under the
-    same problem (CDM's q-fold composition).  Returns a
-    :class:`repro.compile.CompiledProblem`.
-    """
-    from repro.compile import (
-        canonical_digest, compile_digest, compiled_for,
-    )
-    if digest is None:
-        digest = (compile_digest(script) if script is not None
-                  else canonical_digest(assertions, projection))
-    return compiled_for(assertions, projection, digest=digest,
-                        kind=kind, extra=extra)
 
 
 def build_solver(assertions: list[Term], projection: list[Term], *,
-                 script: str | None = None,
                  digest: str | None = None) -> tuple[SmtSolver, list[int]]:
     """A counting solver plus the flat projection-bit literals the hash
     families constrain — reconstructed from the compile-once artifact
     (preprocessing and Tseitin blasting run at most once per (problem,
     params) per process; see :mod:`repro.compile`)."""
-    artifact = compile_counting_problem(assertions, projection,
-                                        script=script, digest=digest)
+    from repro.compile import compiled_for
+    artifact = compiled_for(assertions, projection, digest=digest)
     return SmtSolver.from_compiled(artifact), artifact.flat_bits
 
 
@@ -160,21 +133,42 @@ def iteration_estimate(solver: SmtSolver, projection: list[Term],
         ladder.close()
 
 
-def iteration_step(solver: SmtSolver, projection: list[Term],
-                   flat_bits: list[int], config: PactConfig,
-                   deadline: Deadline, calls: CallCounter):
-    """``iterate(index, warm_start) -> (estimate, boundary)`` for
-    :func:`run_chain`: one :func:`iteration_estimate` on ``solver``,
-    shared by the serial loop and the fan-out workers."""
-    thresh, _, slice_width = get_constants(
-        config.epsilon, config.delta, config.family)
-    max_index = max_hash_index(projection, config.family, slice_width)
+@dataclass(frozen=True)
+class PactMethod:
+    """Algorithm 1 under ``config`` for
+    :func:`repro.core.search.approximate_count`; picklable, so a fan-out
+    chain runs the same :meth:`prepare` in its worker."""
 
-    def iterate(index: int, warm_start: int) -> tuple[int, int]:
-        return iteration_estimate(
-            solver, projection, flat_bits, config, thresh, slice_width,
-            max_index, deadline, calls, index, warm_start=warm_start)
-    return iterate
+    config: PactConfig
+    prefix = "pact."
+    detail = ""
+
+    @property
+    def family(self) -> str:
+        return self.config.family
+
+    def prepare(self, assertions, projection, digest, deadline,
+                calls: CallCounter):
+        """``(solver, initial, iterate)``: the counting solver, the exact
+        probe of lines 3-4 and one :func:`iteration_estimate` per call
+        of ``iterate(index, warm_start)``."""
+        config = self.config
+        solver, flat_bits = build_solver(assertions, projection,
+                                         digest=digest)
+        thresh, _, slice_width = get_constants(
+            config.epsilon, config.delta, config.family)
+        max_index = max_hash_index(projection, config.family, slice_width)
+
+        def initial():
+            count = saturating_count(solver, projection, thresh, deadline,
+                                     calls)
+            return None if count is SATURATED else count
+
+        def iterate(index: int, warm_start: int) -> tuple[int, int]:
+            return iteration_estimate(
+                solver, projection, flat_bits, config, thresh, slice_width,
+                max_index, deadline, calls, index, warm_start=warm_start)
+        return solver, initial, iterate
 
 
 def pact_count(assertions: list[Term], projection: list[Term],
@@ -190,71 +184,20 @@ def pact_count(assertions: list[Term], projection: list[Term],
     passes :attr:`repro.api.Problem.compile_key`) so the memo lookup
     skips re-serialising the formula.
     """
-    start = time.monotonic()
     if deadline is None:
         deadline = Deadline(config.timeout)
     if not projection:
         raise CounterError("projection set must not be empty")
-    for var in projection:
-        if not (var.is_var() and var.sort.is_bv()):
-            raise CounterError(
-                "projection variables must be bit-vector variables "
-                "(integer projections are future work, paper section V)")
+    _, iterations, _ = get_constants(config.epsilon, config.delta,
+                                     config.family)
+    if config.iteration_override is not None:
+        iterations = config.iteration_override
     # A duplicated variable would double-count its bits in total_bits and
     # hash the same bits twice, voiding pairwise independence.
-    projection = dedupe_projection(projection)
-
-    thresh, num_iterations, _ = get_constants(
-        config.epsilon, config.delta, config.family)
-    if config.iteration_override is not None:
-        num_iterations = config.iteration_override
-
-    calls = CallCounter()
-    estimates: list[int] = []
-    solver = None
-
-    def finish(estimate, status=Status.OK, exact=False):
-        if solver is not None:
-            # One process-wide kernel-telemetry merge per count: the
-            # CDCL driver's cumulative counters for this solve series.
-            TELEMETRY.merge(solver.sat.stats, prefix="pact.")
-        return CountResult(
-            estimate=estimate, status=status, exact=exact,
-            solver_calls=calls.solver_calls, sat_answers=calls.sat_answers,
-            iterations=len(estimates),
-            time_seconds=time.monotonic() - start,
-            family=config.family, estimates=list(estimates))
-
-    try:
-        solver, flat_bits = build_solver(assertions, projection,
-                                         digest=digest)
-
-        # Line 3-4: if the whole projected space is small, count exactly.
-        initial = saturating_count(solver, projection, thresh, deadline,
-                                   calls)
-        if initial is not SATURATED:
-            return finish(initial, exact=True)
-
-        if pool is not None and pool.cpu_parallel and num_iterations > 1:
-            from repro.engine.fanout import fan_out_iterations
-            status = fan_out_iterations(
-                pool, "pact", assertions, projection,
-                epsilon=config.epsilon, delta=config.delta,
-                family=config.family, seed=config.seed,
-                num_iterations=num_iterations, deadline=deadline,
-                calls=calls, estimates=estimates)
-            if status is not None:
-                return finish(None, status=status)
-        else:
-            run_chain(iteration_step(solver, projection, flat_bits,
-                                     config, deadline, calls),
-                      range(num_iterations), estimates)
-
-        return finish(median(estimates))
-    except SolverTimeoutError:
-        return finish(None, status=Status.TIMEOUT)
-    except ResourceBudgetError:
-        return finish(None, status=Status.BUDGET)
+    return approximate_count(
+        PactMethod(config), assertions, dedupe_projection(projection),
+        iterations=iterations, digest=digest, deadline=deadline,
+        pool=pool)
 
 
 def _fix_last_hash(solver, projection, flat_bits, get_hash, ladder,

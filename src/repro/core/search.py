@@ -14,12 +14,25 @@ usually brackets the new boundary within a couple of probes instead of
 doubling up from index 1.  ``start`` only changes which indices get
 probed — C is a fixed (per-iteration) function of the index — so the
 boundary and its cell count are independent of it.
+
+:func:`approximate_count` is the outer loop pact (Algorithm 1) and the
+CDM baseline share: the exact probe of line 3, numIt iterations (serial
+or fanned out), the median of line 15 and the result.  A counter brings
+its hashes, threshold and solver as a picklable method object
+(:class:`repro.core.pact.PactMethod`, :class:`repro.core.cdm.CdmMethod`).
 """
 
 from __future__ import annotations
 
-from repro.core.cells import SATURATED
-from repro.errors import CounterError
+import time
+
+from repro.core.cells import SATURATED, CallCounter
+from repro.core.result import CountResult
+from repro.errors import CounterError, SolverTimeoutError
+from repro.sat.kernel import TELEMETRY
+from repro.smt.printer import print_term
+from repro.status import Status
+from repro.utils.stats import median
 
 
 def find_boundary(count_at, start: int, max_index: int
@@ -91,3 +104,61 @@ def run_chain(iterate, indices, estimates: list) -> None:
     for index in indices:
         estimate, warm_start = iterate(index, warm_start)
         estimates.append(estimate)
+
+
+def approximate_count(method, assertions, projection, *, iterations: int,
+                      digest: str | None, deadline, pool) -> CountResult:
+    """Count with a hashing ``method``.
+
+    ``method.prepare(assertions, projection, digest, deadline, calls)``
+    returns ``(solver, initial, iterate)``: the solver, ``initial()``
+    (the exact count of a small projected space, else None) and the
+    :func:`run_chain` closure.  A ``cpu_parallel`` pool runs the
+    iterations as chains that call the same ``prepare`` in its workers;
+    otherwise they run as one chain on ``solver``.  ``digest`` (the
+    compile key; by default the terms' canonical digest) is resolved
+    once, here, so a fan-out need not print the formula to re-key it.
+    """
+    start = time.monotonic()
+    for var in projection:
+        if not (var.is_var() and var.sort.is_bv()):
+            raise CounterError(
+                f"projection variable {print_term(var)} is not a "
+                "bit-vector variable (integer projections are future "
+                "work, paper section V)")
+    if digest is None:
+        # Imported here: repro.compile imports this package.
+        from repro.compile import canonical_digest
+        digest = canonical_digest(assertions, projection)
+    calls = CallCounter()
+    estimates: list[int] = []
+    solver = None
+    estimate, status, exact = None, Status.OK, False
+    try:
+        solver, initial, iterate = method.prepare(
+            assertions, projection, digest, deadline, calls)
+        # Lines 3-4: a small projected space is counted exactly.
+        estimate = initial()
+        exact = estimate is not None
+        if not exact:
+            if pool is not None and pool.cpu_parallel and iterations > 1:
+                from repro.engine.fanout import fan_out_iterations
+                fan_out_iterations(
+                    pool, method, assertions, projection, digest=digest,
+                    iterations=iterations, deadline=deadline, calls=calls,
+                    estimates=estimates)
+            else:
+                run_chain(iterate, range(iterations), estimates)
+            estimate = median(estimates)
+    except SolverTimeoutError:
+        estimate, status = None, Status.TIMEOUT
+    if solver is not None:
+        # One process-wide kernel-telemetry merge per count: the CDCL
+        # driver's cumulative counters for this solve series.
+        TELEMETRY.merge(solver.sat.stats, prefix=method.prefix)
+    return CountResult(
+        estimate=estimate, status=status, exact=exact,
+        solver_calls=calls.solver_calls, sat_answers=calls.sat_answers,
+        iterations=len(estimates), time_seconds=time.monotonic() - start,
+        family=method.family, detail=method.detail,
+        estimates=list(estimates))

@@ -516,7 +516,6 @@ def _merge_driver_stats(stats: CcStats, driver) -> None:
 def cc_count(assertions, projection: list[Term],
              timeout: float | None = None, *,
              deadline: Deadline | None = None,
-             script: str | None = None,
              digest: str | None = None,
              pool=None, component_store=None) -> CountResult:
     """Count |Sol(F)|_S| exactly by component-caching search.
@@ -529,14 +528,14 @@ def cc_count(assertions, projection: list[Term],
     workers and ``component_store`` names the shared on-disk component
     cache (see :func:`count_snapshot`).
     """
-    from repro.core.pact import compile_counting_problem
+    from repro.compile import compiled_for
     if isinstance(assertions, Term):
         assertions = [assertions]
     start = time.monotonic()
     if deadline is None:
         deadline = Deadline(timeout)
-    artifact = compile_counting_problem(list(assertions), list(projection),
-                                        script=script, digest=digest)
+    artifact = compiled_for(list(assertions), list(projection),
+                            digest=digest)
     result = count_compiled(artifact, deadline=deadline,
                             pool=pool, component_store=component_store)
     result.time_seconds = time.monotonic() - start

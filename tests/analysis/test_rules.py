@@ -136,20 +136,20 @@ def test_pickle_fanout_lock_field_violating():
         from dataclasses import dataclass, field
 
         @dataclass
-        class IterationSpec:
+        class PactMethod:
             index: int = 0
             lock: object = field(default_factory=threading.Lock)
-        """, "src/repro/engine/fanout.py", "pickle-fanout")
+        """, "src/repro/core/pact.py", "pickle-fanout")
     assert [(f.rule, f.line) for f in findings] == \
         [("pickle-fanout", 7)]
 
 
 def test_pickle_fanout_handle_in_init_violating():
     findings = lint("""\
-        class IterationSpec:
+        class CdmMethod:
             def __init__(self, path):
                 self.handle = open(path)
-        """, "src/repro/engine/fanout.py", "pickle-fanout")
+        """, "src/repro/core/cdm.py", "pickle-fanout")
     assert [(f.rule, f.line) for f in findings] == \
         [("pickle-fanout", 3)]
 
@@ -159,10 +159,10 @@ def test_pickle_fanout_clean_and_getstate_exempt():
         from dataclasses import dataclass
 
         @dataclass(frozen=True)
-        class IterationSpec:
-            index: int
-            seed: int
-        """, "src/repro/engine/fanout.py", "pickle-fanout") == []
+        class PactMethod:
+            config: PactConfig
+            prefix = "pact."
+        """, "src/repro/core/pact.py", "pickle-fanout") == []
 
     # a class that controls its own pickled form may hold a lock ...
     assert lint("""\

@@ -11,7 +11,9 @@ from repro.compile import (
     compile_counters, compiled_for, peek_compiled,
     preseed_compile_memo, reset_compile_memo,
 )
-from repro.engine.fanout import IterationSpec, run_iteration
+from repro.core import PactConfig
+from repro.core.pact import PactMethod
+from repro.engine.fanout import _chain_task
 from repro.engine.pool import ExecutionPool
 from repro.smt.terms import bv_ult, bv_val, bv_var
 
@@ -122,17 +124,14 @@ class TestFanOutExactlyOnce:
         assert set(pact_keys.values()) == {1}
 
     def test_process_workers_compile_once_each(self):
-        # Each worker runs several iterations of the same spec; its
+        # Each worker runs several chains of the same problem; its
         # process-local memo must record at most one build for the key.
         assertions, projection = _formula("memo_proc", width=12,
                                           bound=3000)
-        spec = IterationSpec(
-            "pact", Problem.from_terms(assertions, projection),
-            epsilon=0.8, delta=0.2, family="xor", seed=3)
+        args = (PactMethod(PactConfig(family="xor", seed=3)),
+                Problem.from_terms(assertions, projection))
         pool = ExecutionPool(jobs=2, backend="process")
-        results = pool.map(_iterations_then_builds,
-                           [(spec,), (spec,), (spec,), (spec,)],
-                           budget=120)
+        results = pool.map(_chains_then_builds, [args] * 4, budget=120)
         assert all(result.ok for result in results)
         for result in results:
             estimates, builds = result.value
@@ -140,11 +139,13 @@ class TestFanOutExactlyOnce:
             assert builds <= 1  # 0 when forked with a pre-seeded memo
 
 
-def _iterations_then_builds(spec, budget=None):
-    """Worker body: run two iterations, report this process's builds."""
-    estimates = [run_iteration(spec, index, budget=budget)
+def _chains_then_builds(method, problem, budget=None):
+    """Worker body: run two one-iteration chains, report this
+    process's builds."""
+    estimates = [_chain_task(method, problem, (index,),
+                             budget=budget)["estimates"][0]
                  for index in range(2)]
     per_key = compile_counters()["per_key"]
     builds = sum(count for key, count in per_key.items()
-                 if key[0] == spec.problem.compile_key)
+                 if key[0] == problem.compile_key)
     return estimates, builds

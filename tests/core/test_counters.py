@@ -10,7 +10,7 @@ import pytest
 from repro import cdm_count, count_projected, exact_count
 from repro.errors import CounterError
 from repro.smt import (
-    And, Equals, Implies, Or, bv_add, bv_and, bv_mul,
+    And, Equals, Implies, Or, bool_var, bv_add, bv_and, bv_mul,
     bv_ult, bv_val, bv_var, real_lt, real_val, real_var,
 )
 from repro.utils.stats import relative_error
@@ -262,3 +262,21 @@ class TestCdm:
         result = cdm_count(
             [Equals(bv_mul(x, x), bv_val(1024, 12))], [x], timeout=0.05)
         assert result.status == "timeout"
+
+
+@pytest.mark.parametrize("counter", [count_projected, cdm_count])
+def test_non_bv_projection_rejected_before_anything_is_built(counter,
+                                                             monkeypatch):
+    """Both hashing counters check the projection's sorts before they
+    compile (CDM before it composes its copies), and the error names the
+    variable as it was declared, not a composed copy of it."""
+    def built(*args, **kwargs):
+        raise AssertionError("built before the projection was checked")
+
+    monkeypatch.setattr("repro.core.cdm.compose_copies", built)
+    monkeypatch.setattr("repro.compile.memo.compile_problem", built)
+    x, b = bv_var("sort_x", 4), bool_var("b")
+    with pytest.raises(CounterError,
+                       match="projection variable b is not") as raised:
+        counter([Or(bv_ult(x, bv_val(5, 4)), b)], [x, b], seed=1)
+    assert "b!c0" not in str(raised.value)

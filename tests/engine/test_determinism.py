@@ -13,7 +13,10 @@ import pytest
 
 from repro import cdm_count, count_projected, exact_count
 from repro.api import Problem
-from repro.engine import ExecutionPool, IterationSpec, run_iteration
+from repro.core import PactConfig
+from repro.core.pact import PactMethod
+from repro.engine import ExecutionPool
+from repro.engine.fanout import _chain_task
 from repro.sat.kernel import TELEMETRY
 from repro.smt import bv_ult, bv_val, bv_var
 
@@ -56,18 +59,19 @@ def test_cdm_parallel_matches_serial():
 
 
 @pytest.mark.parametrize("family", ["xor", "prime", "shift"])
-def test_run_iteration_is_pure(family):
-    """The unit of work returns the same estimate on repeated calls and
-    matches the corresponding serial iteration."""
+def test_a_one_iteration_chain_is_pure(family):
+    """A chain task of one iteration returns the same estimate and
+    oracle calls on repeated calls, and the estimate of the
+    corresponding serial iteration."""
     assertions, projection = _formula(f"det_pure_{family}")
-    spec = IterationSpec("pact", Problem.from_terms(assertions, projection),
-                         epsilon=0.8, delta=0.2, family=family, seed=SEED)
+    method = PactMethod(PactConfig(family=family, seed=SEED))
+    problem = Problem.from_terms(assertions, projection)
     serial = count_projected(assertions, projection, family=family,
                              seed=SEED, iteration_override=ITERATIONS)
     for index in (0, ITERATIONS - 1):
-        first = run_iteration(spec, index)
-        assert first == run_iteration(spec, index)
-        assert first == serial.estimates[index]
+        first = _chain_task(method, problem, (index,))
+        assert first == _chain_task(method, problem, (index,))
+        assert first["estimates"] == [serial.estimates[index]]
 
 
 def test_exact_short_circuit_ignores_pool():
@@ -103,6 +107,11 @@ def test_every_solver_call_reaches_telemetry(backend):
                     iteration_override=2, pool=pool)
     assert cdm.iterations == 2 and not cdm.exact
     assert _solves("cdm") - before == cdm.solver_calls
+    # CDM's fanned-out chains run the serial loop's method: the serial
+    # count's estimates on every backend.
+    serial = cdm_count([bv_ult(x, bv_val(20, 5))], [x], seed=SEED,
+                       iteration_override=2)
+    assert cdm.estimates == serial.estimates
 
     x = bv_var(f"tel_enum_{backend}", 5)
     before = _solves("enum")

@@ -11,12 +11,14 @@ import threading
 import pytest
 
 from repro.api import CountRequest, Problem, Session
+from repro.compile import canonical_digest
 from repro.core import PactConfig, count_projected, pact_count
+from repro.core.pact import PactMethod
 from repro.core.search import run_chain
 from repro.engine import ExecutionPool, fanout
 from repro.engine.fanout import iteration_tasks
 from repro.sat.kernel import TELEMETRY
-from repro.smt import bv_ult, bv_val, bv_var
+from repro.smt import bv_ult, bv_val, bv_var, printer
 from repro.status import Status
 from repro.utils.deadline import CooperativeDeadline
 
@@ -122,13 +124,12 @@ def test_cancel_token_reaches_fanned_out_iterations(counter, monkeypatch):
         [bv_ult(x, bv_val((1 << width) - 3, width))], [x],
         name="fan_cancel")
     token = threading.Event()
-    module = "repro.core.pact" if counter == "pact:xor" else "repro.core.cdm"
 
     def cancel_then_run(*args):
         token.set()
         return run_chain(*args)
 
-    monkeypatch.setattr(f"{module}.run_chain", cancel_then_run)
+    monkeypatch.setattr("repro.core.search.run_chain", cancel_then_run)
     session = Session(jobs=2, backend="thread")
     response = session.count(
         problem, CountRequest(counter=counter, seed=SEED),
@@ -141,11 +142,11 @@ def test_cancel_token_reaches_fanned_out_iterations(counter, monkeypatch):
 _CHAIN_TASK = fanout._chain_task
 
 
-def _chain_one_dies(spec, indices, budget=None):
+def _chain_one_dies(method, problem, indices, budget=None):
     """A chain body whose chain-1 worker process kills itself."""
     if indices[0] == 1 and multiprocessing.parent_process() is not None:
         os.kill(os.getpid(), signal.SIGKILL)
-    return _CHAIN_TASK(spec, indices, budget=budget)
+    return _CHAIN_TASK(method, problem, indices, budget=budget)
 
 
 def test_a_lost_fanout_worker_ends_the_count_in_error(monkeypatch):
@@ -181,11 +182,40 @@ def test_iterations_split_into_one_chain_per_worker(jobs, iterations,
     """``min(jobs, numIt)`` chains; chain w runs iterations w, w + jobs,
     ... in order — a split fixed by ``jobs`` alone."""
     x = bv_var("fan_split", 8)
+    assertions, projection = [bv_ult(x, bv_val(200, 8))], [x]
     tasks = iteration_tasks(
-        "pact", [bv_ult(x, bv_val(200, 8))], [x], epsilon=0.8, delta=0.2,
-        family="xor", seed=SEED, num_iterations=iterations, jobs=jobs)
+        PactMethod(PactConfig(seed=SEED)), assertions, projection,
+        digest=canonical_digest(assertions, projection),
+        iterations=iterations, jobs=jobs)
     assert [task.key for task in tasks] == list(range(len(chains)))
-    assert [task.args[1] for task in tasks] == chains
+    assert [task.args[2] for task in tasks] == chains
+
+
+def test_a_fanned_out_count_prints_its_formula_once(monkeypatch):
+    """A counter given its compile key hands it to the chains' problem,
+    so pickling that problem prints the formula only for its script:
+    ``write_script`` runs once in the parent process, however many
+    chains carry the problem."""
+    x = bv_var("fan_print", WIDTH)
+    assertions, projection = [bv_ult(x, bv_val(BOUND, WIDTH))], [x]
+    key = canonical_digest(assertions, projection)
+    printed = []
+    write_script = printer.write_script
+
+    def counting_write_script(*args, **kwargs):
+        printed.append(args)
+        return write_script(*args, **kwargs)
+
+    # Problem.script calls the name it imported; canonical_digest looks
+    # it up in the printer module at call time.
+    monkeypatch.setattr(printer, "write_script", counting_write_script)
+    monkeypatch.setattr("repro.api.problem.write_script",
+                        counting_write_script)
+    result = pact_count(assertions, projection,
+                        PactConfig(seed=SEED, iteration_override=ITERATIONS),
+                        digest=key, pool=ExecutionPool(2, "process"))
+    assert result.solved and not result.exact
+    assert len(printed) == 1
 
 
 def test_process_chains_run_under_a_cooperative_deadline():
