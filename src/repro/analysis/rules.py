@@ -455,7 +455,6 @@ class AsyncBlockingRule(Rule):
     # counts / disk transactions) — only reachable from a worker thread.
     _SESSION_METHODS = frozenset({
         "count", "count_batch", "portfolio", "flush", "get", "put",
-        "get_artifact", "put_artifact",
     })
     _SESSION_ROOTS = frozenset({"session", "cache", "store"})
 

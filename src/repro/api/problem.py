@@ -186,8 +186,8 @@ def _unpickle(script: str, name: str, compile_key: str) -> Problem:
     The logic comes back from ``(set-logic ...)`` and the projection
     from ``:projected-vars`` — an empty one too, which
     :meth:`Problem.from_script` rejects, so the problem is built
-    directly.  The sender's compile key keys this process's compile memo
-    and the session's artifact store.
+    directly.  The sender's compile key keys this process's compile
+    memo.
     """
     from repro.smt.parser import parse_script
     parsed = parse_script(script)

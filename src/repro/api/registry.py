@@ -52,11 +52,6 @@ class Counter(Protocol):
     (possibly cancellable) :class:`repro.utils.deadline.Deadline` that
     overrides the request's own timeout — the portfolio runner uses it to
     race counters under one shared budget.
-
-    Counters that compile under the plain problem digest advertise it
-    with a truthy ``uses_compile_artifact`` attribute; sessions preload
-    and persist the compile artifact through the on-disk store for
-    exactly those (the attribute is optional and defaults to False).
     """
 
     name: str
@@ -71,10 +66,6 @@ class PactCounter:
     """Algorithm 1 under one hash family, as a registry counter."""
 
     family: str
-    # Compiles under the plain problem digest, so sessions preload and
-    # persist its artifact through the on-disk store (Counter protocol
-    # capability; counters without it default to False).
-    uses_compile_artifact = True
 
     @property
     def name(self) -> str:
@@ -134,17 +125,15 @@ class CcCounter:
     """Exact component-caching search as a registry counter.
 
     Counts on the same compiled artifact the pact counters solve on
-    (one compile per problem per process, shared through the memo and
-    the session's artifact store).  A process ``pool`` fans top-level
-    components (and cube splits of wide ones) out across its workers
-    (a thread pool runs the serial search), and
-    ``request.component_store`` attaches the shared on-disk component
-    cache — counts are bit-identical to the serial, storeless run
-    either way.
+    (one compile per problem per process, shared through the memo).  A
+    process ``pool`` fans top-level components (and cube splits of wide
+    ones) out across its workers (a thread pool runs the serial search),
+    and ``request.component_store`` attaches the shared on-disk
+    component cache — counts are bit-identical to the serial, storeless
+    run either way.
     """
 
     name: str = "exact:cc"
-    uses_compile_artifact = True  # shares pact's plain-digest artifact
 
     def count(self, problem: Problem, request: CountRequest, *,
               pool=None, deadline=None) -> CountResponse:

@@ -12,8 +12,10 @@ three verbs:
   fingerprint cache consulted per problem, responses in input order on
   every backend;
 * :meth:`Session.portfolio` — race several counters on one problem under
-  a shared deadline; the first (in requested order) that solves wins and
-  the losers are cancelled cooperatively.
+  a shared deadline; the first (in requested order) that solves wins,
+  and the losers still running are stopped on every backend: through
+  the race's cancel token in this process, by killing a process pool's
+  workers.
 
 A batch slot or portfolio entry is one pool task over its ``(Problem,
 CountRequest)`` pair; only a process pool serialises the pair, the
@@ -52,9 +54,9 @@ def _run_spec(problem: Problem, request: CountRequest, cancel=None,
     pool pickles it as its script (:meth:`Problem.__reduce__`).
     ``budget`` is the pool's effective per-task allowance (already
     clamped to any shared batch deadline) and replaces the request's
-    timeout; ``cancel`` is an optional shared cancel token (thread
-    backend only) that cuts the run short when a portfolio winner is
-    found.
+    timeout; ``cancel`` is an optional shared cancel token (serial and
+    thread pools only) that cuts the run short when a portfolio winner
+    is found or the race's outer deadline expires.
     """
     if budget is not None:
         request = request.replace(timeout=budget)
@@ -67,6 +69,19 @@ def _run_spec(problem: Problem, request: CountRequest, cancel=None,
         return CountResponse(estimate=None, status=Status.ERROR,
                              counter=counter.name, problem=problem.name,
                              detail=str(error))
+
+
+class _RaceToken(threading.Event):
+    """A portfolio's cancel token: set when a racer wins, and read as
+    set once the race's outer ``deadline`` expires."""
+
+    def __init__(self, deadline: Deadline | None):
+        super().__init__()
+        self._deadline = deadline
+
+    def is_set(self) -> bool:
+        return super().is_set() or (self._deadline is not None
+                                    and self._deadline.expired())
 
 
 @dataclass
@@ -173,7 +188,6 @@ class Session:
         if cached is not None:
             self._emit(progress, "cache-hit", cached)
             return cached
-        digest = self._preload_artifact(problem, counter.name)
         start = time.monotonic()
         try:
             response = counter.count(
@@ -187,7 +201,6 @@ class Session:
         # No flush here: close()/__exit__ (and each count_batch) persist
         # the cache once, so a counting loop is not quadratic in I/O.
         self._store(fingerprint, response)
-        self._persist_artifact(digest)
         self._emit(progress, "completed", response)
         return response
 
@@ -218,7 +231,6 @@ class Session:
         names = [canonical_name(each.counter) for each in requests]
         responses: list[CountResponse | None] = [None] * len(problems)
         fingerprints: dict[int, str] = {}
-        digests: dict[int, str | None] = {}
         tasks: list[Task] = []
         for index, (problem, request, name) in enumerate(
                 zip(problems, requests, names)):
@@ -230,7 +242,6 @@ class Session:
                 continue
             if fingerprint is not None:
                 fingerprints[index] = fingerprint
-            digests[index] = self._preload_artifact(problem, name)
             tasks.append(Task(key=index, fn=_run_spec,
                               args=(problem, request, None),
                               budget=request.timeout))
@@ -242,10 +253,6 @@ class Session:
                                          names[index])
             responses[index] = response
             self._store(fingerprints.get(index), response)
-            # Persist the artifact when this process compiled it
-            # (serial/thread/forked workers share the memo; spawned
-            # workers keep theirs process-local).
-            self._persist_artifact(digests.get(index))
             self._emit(progress, "completed", response)
 
         self.pool.run(tasks, progress=on_complete)
@@ -255,34 +262,60 @@ class Session:
 
     def portfolio(self, problem: Problem, counters=None,
                   request: CountRequest | None = None, *,
-                  timeout: float | None = None, progress=None,
-                  **overrides) -> PortfolioResult:
+                  timeout: float | None = None, deadline=None,
+                  progress=None, **overrides) -> PortfolioResult:
         """Race several counters on one problem under a shared deadline.
 
-        The winner is the first counter in requested order that solved;
-        losers are cancelled cooperatively (not started at all on the
-        serial pool; cut short via a shared cancel token on the thread
-        backend; bounded by the shared deadline on the process backend).
-        With a fixed seed the serial race is fully deterministic.
+        The winner is the first counter in requested order that solved.
+        Once a counter solves, or ``deadline`` (an outer
+        :class:`~repro.utils.deadline.Deadline`, e.g. the serving
+        layer's drain-cancel one) expires, the racers still running stop
+        and come back ``CANCELLED``: racers in this process see the
+        race's cancel token, and the pool starts no further racer and
+        kills a process pool's workers.  With a fixed seed the serial
+        race is fully deterministic.
         """
         request = self._request_of(request, overrides)
         if timeout is None:
             timeout = request.timeout
         names = [canonical_name(name)
                  for name in (counters or DEFAULT_PORTFOLIO)]
-        if not names:
-            raise CounterError("portfolio needs at least one counter")
         start = time.monotonic()
-        requests = [request.replace(counter=name, timeout=timeout)
-                    for name in names]
-        if self.pool.parallel:
-            entries = self._race_parallel(problem, requests, timeout,
-                                          progress)
-        else:
-            entries = self._race_serial(problem, requests, timeout,
-                                        progress)
-        winner = next((entry.counter for entry in entries if entry.solved),
-                      None)
+        token = _RaceToken(deadline)
+        # A token cannot cross a process boundary; the pool's ``stop``
+        # reaches process workers instead.
+        cancel = None if self.pool.cpu_parallel else token
+        deadline_at = start + timeout if timeout is not None else None
+        tasks = [Task(key=index, fn=_run_spec,
+                      args=(problem, request.replace(counter=name,
+                                                     timeout=timeout),
+                            cancel),
+                      budget=timeout, deadline_at=deadline_at)
+                 for index, name in enumerate(names)]
+        finished: dict[int, CountResponse] = {}
+
+        def on_complete(task_result: TaskResult) -> None:
+            response = self._response_of(task_result, problem.name,
+                                         names[task_result.key])
+            if response.solved:
+                token.set()
+            finished[task_result.key] = response
+            self._emit(progress, "completed", response)
+
+        self.pool.run(tasks, progress=on_complete, stop=token)
+        winner = next((finished[index].counter for index in sorted(finished)
+                       if finished[index].solved), None)
+        detail = ("portfolio: winner already found" if winner is not None
+                  else "portfolio: deadline expired")
+        entries = []
+        for index, name in enumerate(names):
+            entry = finished.get(index)
+            if entry is None:
+                entry = CountResponse(
+                    estimate=None, status=Status.CANCELLED, counter=name,
+                    problem=problem.name, detail=detail)
+                self._emit(progress, "cancelled", entry)
+            entries.append(entry)
         outcome = PortfolioResult(problem=problem.name, winner=winner,
                                   entries=entries,
                                   elapsed=time.monotonic() - start)
@@ -291,115 +324,11 @@ class Session:
         return outcome
 
     # ------------------------------------------------------------------
-    # portfolio internals
-    # ------------------------------------------------------------------
-    def _race_serial(self, problem, requests, timeout, progress):
-        deadline = Deadline(timeout)
-        entries: list[CountResponse] = []
-        solved = False
-        for request in requests:
-            if solved:
-                response = CountResponse(
-                    estimate=None, status=Status.CANCELLED,
-                    counter=request.counter, problem=problem.name,
-                    detail="portfolio: winner already found")
-                entries.append(response)
-                self._emit(progress, "cancelled", response)
-                continue
-            remaining = deadline.remaining()
-            budget = None if remaining == float("inf") else remaining
-            response = _run_spec(problem, request, budget=budget)
-            solved = solved or response.solved
-            entries.append(response)
-            self._emit(progress, "completed", response)
-        return entries
-
-    def _race_parallel(self, problem, requests, timeout, progress):
-        cancel = (threading.Event() if self.pool.backend == "thread"
-                  else None)
-        deadline_at = (time.monotonic() + timeout
-                       if timeout is not None else None)
-        tasks = [Task(key=index, fn=_run_spec,
-                      args=(problem, request, cancel),
-                      budget=timeout, deadline_at=deadline_at)
-                 for index, request in enumerate(requests)]
-        slots: dict[int, CountResponse] = {}
-        state = {"won": False}
-
-        def on_complete(task_result: TaskResult) -> None:
-            response = self._response_of(
-                task_result, problem.name,
-                requests[task_result.key].counter)
-            if response.solved and not state["won"]:
-                state["won"] = True
-                if cancel is not None:
-                    cancel.set()
-            elif (state["won"] and cancel is not None
-                    and response.status is Status.TIMEOUT
-                    and (timeout is None
-                         or response.time_seconds < 0.9 * timeout)):
-                # The shared token cut this loser short after the winner
-                # (a run that used ~all of the shared budget timed out on
-                # its own and keeps its TIMEOUT status).
-                response.status = Status.CANCELLED
-                response.detail = (response.detail
-                                   or "portfolio: cancelled by winner")
-            slots[task_result.key] = response
-            self._emit(progress, "completed", response)
-
-        self.pool.run(tasks, progress=on_complete)
-        return [slots[index] for index in range(len(requests))
-                if index in slots]
-
-    # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
     def _request_of(self, request, overrides) -> CountRequest:
         base = request if request is not None else self.request
         return base.replace(**overrides) if overrides else base
-
-    def _preload_artifact(self, problem: Problem,
-                          counter: str) -> str | None:
-        """Seed the compile memo from the cache's artifact store.
-
-        Returns the problem's canonical compile digest (for the
-        persist-after-count hook) when the cache is on.  A hit means
-        the counter skips preprocessing + bit-blasting entirely on a
-        cold process; corruption reads as a miss.  Only the counters
-        that compile under the plain problem digest — those advertising
-        ``uses_compile_artifact``: pact and the exact component-caching
-        counter share one artifact — probe the store (cdm compiles its
-        q-fold composition process-locally, enum never compiles), so
-        other counters skip the serialisation + disk probe entirely.
-        """
-        if self.cache is None or not getattr(
-                resolve(counter), "uses_compile_artifact", False):
-            return None
-        from repro.compile import (
-            CompiledProblem, peek_compiled, preseed_compile_memo,
-        )
-        digest = problem.compile_key
-        if peek_compiled(digest) is not None:
-            return digest
-        payload = self.cache.get_artifact(digest)
-        if payload is not None:
-            try:
-                preseed_compile_memo(CompiledProblem.from_payload(payload))
-            except (KeyError, TypeError, ValueError):
-                pass  # corrupt artifact: compile as usual
-        return digest
-
-    def _persist_artifact(self, digest: str | None) -> None:
-        """Persist the artifact this count compiled, if any and if it
-        round-trips (lazy-LRA artifacts stay process-local)."""
-        if digest is None or self.cache is None:
-            return
-        from repro.compile import peek_compiled
-        artifact = peek_compiled(digest)
-        if artifact is None or not artifact.persistable:
-            return
-        if not self.cache.has_artifact(digest):
-            self.cache.put_artifact(digest, artifact.to_payload())
 
     def _fingerprint(self, problem, request, counter) -> str | None:
         if self.cache is None:

@@ -16,23 +16,15 @@ up without re-running preprocessing or bit-blasting:
 * theory-reconstruction metadata: the builder's constant-true literal
   and the compile statistics.
 
-The artifact is immutable and process-local cheap to share; for the
-on-disk artifact store (the ``artifacts`` table of
-:class:`repro.serve.store.SqliteStore`) it round-trips through :meth:`to_payload`/:meth:`from_payload` when
-:attr:`persistable` (problems whose theory content was fully eliminated
-into the CNF — the atom table is empty; lazy-LRA problems carry live
-term objects and stay process-local).
+The artifact is immutable and cheap to share within a process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
 from repro.sat.kernel import SatSnapshot
-from repro.smt.terms import Term, bv_var
-
-ARTIFACT_VERSION = 1
+from repro.smt.terms import Term
 
 
 @dataclass
@@ -61,24 +53,6 @@ class CompileStats:
     support_aliased: int = 0
     stages: tuple[str, ...] = ()
     seconds: float = 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "vars": self.vars, "clauses": self.clauses, "xors": self.xors,
-            "raw_clauses": self.raw_clauses, "raw_units": self.raw_units,
-            "units_fixed": self.units_fixed,
-            "literals_substituted": self.literals_substituted,
-            "failed_literals": self.failed_literals,
-            "aux_eliminated": self.aux_eliminated,
-            "blocked_clauses": self.blocked_clauses,
-            "clauses_removed": self.clauses_removed,
-            "clauses_added": self.clauses_added,
-            "support_total": self.support_total,
-            "support_fixed": self.support_fixed,
-            "support_free": self.support_free,
-            "support_aliased": self.support_aliased,
-            "stages": list(self.stages), "seconds": self.seconds,
-        }
 
 
 @dataclass(frozen=True)
@@ -113,12 +87,6 @@ class CompiledProblem:
     @property
     def num_vars(self) -> int:
         return self.snapshot.num_vars
-
-    @property
-    def persistable(self) -> bool:
-        """True when the artifact can round-trip through JSON: no live
-        LRA atom terms (pure discrete problems after preprocessing)."""
-        return not self.atoms
 
     def clause_db(self, extra_clauses=()):
         """The artifact as an occurrence-indexed kernel
@@ -164,63 +132,6 @@ class CompiledProblem:
                             xors=[(list(variables), rhs)
                                   for variables, rhs in self.snapshot.xors],
                             show=show, comments=comments)
-
-    # ------------------------------------------------------------------
-    # on-disk round trip (the store's artifacts table)
-    # ------------------------------------------------------------------
-    def to_payload(self) -> dict:
-        """A JSON-serialisable image (requires :attr:`persistable`)."""
-        if not self.persistable:
-            raise ValueError(
-                "artifact with live LRA atoms cannot be persisted")
-        return {
-            "version": ARTIFACT_VERSION,
-            "digest": self.digest,
-            "true_lit": self.true_lit,
-            "num_vars": self.snapshot.num_vars,
-            "clauses": [list(c) for c in self.snapshot.clauses],
-            "units": list(self.snapshot.units),
-            "xors": [[list(variables), bool(rhs)]
-                     for variables, rhs in self.snapshot.xors],
-            "ok": self.snapshot.ok,
-            "projection": [[var.name, var.sort.width]
-                           for var in self.projection],
-            "projection_bits": [list(bits) for bits in self.projection_bits],
-            "support": list(self.support),
-            "stats": self.stats.as_dict(),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "CompiledProblem":
-        """Rebuild from :meth:`to_payload` output.
-
-        Projection variables are reconstructed by (name, width); terms
-        are hash-consed, so they compare equal to the parsed script's.
-        Raises ``KeyError``/``ValueError``/``TypeError`` on a corrupt or
-        foreign payload — callers treat that as a cache miss.
-        """
-        if payload.get("version") != ARTIFACT_VERSION:
-            raise ValueError("unknown artifact version")
-        snapshot = SatSnapshot(
-            num_vars=int(payload["num_vars"]),
-            clauses=tuple(tuple(int(lit) for lit in clause)
-                          for clause in payload["clauses"]),
-            units=tuple(int(lit) for lit in payload["units"]),
-            xors=tuple((tuple(int(v) for v in variables), bool(rhs))
-                       for variables, rhs in payload["xors"]),
-            ok=bool(payload.get("ok", True)))
-        projection = tuple(bv_var(name, int(width))
-                           for name, width in payload["projection"])
-        stats_data = dict(payload.get("stats", {}))
-        stats_data["stages"] = tuple(stats_data.get("stages", ()))
-        stats = CompileStats(**stats_data)
-        return cls(
-            digest=str(payload["digest"]), snapshot=snapshot,
-            true_lit=int(payload["true_lit"]), projection=projection,
-            projection_bits=tuple(tuple(int(lit) for lit in bits)
-                                  for bits in payload["projection_bits"]),
-            support=tuple(int(i) for i in payload.get("support", ())),
-            stats=stats)
 
     def __repr__(self) -> str:
         return (f"CompiledProblem({self.digest[:12]}, "

@@ -7,10 +7,10 @@ params) per process**: a digest-keyed memo with per-key build locks, so
 concurrent threads racing for the same artifact serialise on one build
 instead of duplicating it.
 
-The orchestrator pre-seeds the memo with artifacts it already built
-(:func:`preseed_compile_memo`), so serial/thread workers — and forked
-process children — never compile at all; spawned process workers compile
-on first touch and reuse the artifact for every later task they run.
+Serial and thread workers share the memo; forked process workers
+inherit it, so they find the artifact the orchestrator compiled; spawned
+process workers compile on first use and reuse the artifact for every
+later task they run.
 
 ``compile_counters`` backs the exactly-once acceptance tests: it counts
 actual pipeline builds per key (memo hits do not count).
@@ -26,7 +26,7 @@ from repro.compile.pipeline import compile_problem
 
 __all__ = [
     "canonical_digest", "compile_counters", "compiled_for",
-    "peek_compiled", "preseed_compile_memo", "reset_compile_memo",
+    "reset_compile_memo",
 ]
 
 # Artifacts are a few hundred KB at most; a long-lived worker serving
@@ -47,11 +47,11 @@ _key_locks: dict[tuple, threading.Lock] = {}
 
 def canonical_digest(assertions, projection) -> str:
     """The artifact digest of in-memory terms — THE one recipe every
-    layer shares (counters, ``Problem.compile``, the session's artifact
-    store, fan-out chains): the SHA-256 of the *logic-free* canonical
-    serialisation.  Keeping a single definition is load-bearing: if two
-    layers hashed different serialisations of the same problem, the
-    memo and the artifact store would silently stop matching."""
+    layer shares (counters, ``Problem.compile``, fan-out chains): the
+    SHA-256 of the *logic-free* canonical serialisation.  Keeping a
+    single definition is load-bearing: if two layers hashed different
+    serialisations of the same problem, a fan-out worker would miss the
+    artifact its parent compiled and compile it again."""
     from repro.smt.printer import write_script
     script = write_script(list(assertions), projection=list(projection))
     return hashlib.sha256(script.encode()).hexdigest()
@@ -108,25 +108,6 @@ def compiled_for(assertions, projection, *, digest: str | None = None,
             with _memo_lock:
                 if _key_locks.get(key) is lock:
                     del _key_locks[key]
-
-
-def preseed_compile_memo(artifact: CompiledProblem, *,
-                         kind: str = "pact", extra: tuple = ()) -> None:
-    """Seed the memo with an artifact built (or loaded) elsewhere, so
-    in-process and forked workers skip the pipeline entirely."""
-    key = _key(artifact.digest, kind, extra)
-    with _memo_lock:
-        _evict_to_cap(key)
-        _memo.setdefault(key, artifact)
-
-
-def peek_compiled(digest: str, *, kind: str = "pact",
-                  extra: tuple = ()) -> CompiledProblem | None:
-    """The memoised artifact if this process already has it, else None
-    (never triggers a build — the session's persist-after-count hook
-    uses this to avoid compiling just to cache)."""
-    with _memo_lock:
-        return _memo.get(_key(digest, kind, extra))
 
 
 def compile_counters() -> dict:

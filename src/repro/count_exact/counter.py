@@ -455,8 +455,8 @@ def count_compiled(artifact, *, deadline: Deadline | None = None,
     """Count a :class:`repro.compile.CompiledProblem` exactly.
 
     The artifact is the same one the pact counters solve on (shared
-    through the per-process compile memo and the on-disk artifact
-    store); XOR rows and root units come straight from its snapshot.
+    through the per-process compile memo); XOR rows and root units come
+    straight from its snapshot.
     ``pool`` and ``component_store`` are forwarded to
     :func:`count_snapshot`.
     """

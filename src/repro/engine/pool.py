@@ -20,9 +20,15 @@ Design notes:
   results in *task order* regardless of completion order; the optional
   ``progress`` callback fires in completion order (always from the
   submitting thread, so callbacks need no locking).
-* **Graceful cancellation.**  On ``KeyboardInterrupt`` the pool cancels
-  every not-yet-started task and marks it ``"cancelled"`` before
-  re-raising, so a Ctrl-C stops a batch without starting more work.
+* **Cancellation.**  Once the caller's ``stop`` event reads as set (a
+  portfolio's winner landed, or its outer deadline expired), the pool
+  starts no further task and stops waiting: every unfinished task comes
+  back ``"cancelled"``, queued ones are cancelled, and a process pool's
+  workers are killed.  An exception out of the loop (a
+  ``KeyboardInterrupt``) takes the same path and then propagates, so a
+  Ctrl-C leaves no worker process computing.  A thread cannot be
+  stopped from outside: a thread task runs on until its own
+  cooperative deadline ends it.
 * **Picklability.**  The process backend requires task callables and
   arguments to be picklable module-level objects; the fan-out and
   session modules provide such workers.
@@ -54,6 +60,9 @@ from repro.sat.kernel import TELEMETRY
 from repro.status import Status
 
 BACKENDS = ("serial", "thread", "process")
+# How often a waiting executor loop reads a ``stop`` that something
+# other than its progress callback may set (a deadline expiring).
+_STOP_POLL_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -163,6 +172,24 @@ def _invoke(fn: Callable, args: tuple, budget: float | None,
     return outcome
 
 
+def _stopped(stop) -> bool:
+    return stop is not None and stop.is_set()
+
+
+def _abandon(executor) -> None:
+    """Shut ``executor`` down without waiting: cancel its queued tasks
+    and kill a process pool's workers, which would otherwise compute on
+    and hold up interpreter exit.  SIGKILL, not SIGTERM: a forked worker
+    inherits its parent's handlers, and ``pact run`` turns SIGTERM into
+    an interrupt that ends only the task at hand.  CPython before 3.14
+    has no public call for this (3.14's ``kill_workers`` does the same),
+    so the worker table is read before ``shutdown`` drops it."""
+    processes = list((getattr(executor, "_processes", None) or {}).values())
+    executor.shutdown(wait=False, cancel_futures=True)
+    for process in processes:
+        process.kill()
+
+
 class ExecutionPool:
     """A fixed-size pool of execution slots.
 
@@ -201,14 +228,25 @@ class ExecutionPool:
                  for index, args in enumerate(args_list)]
         return self.run(tasks, progress=progress)
 
-    def run(self, tasks: Sequence[Task], progress=None) -> list[TaskResult]:
-        """Execute ``tasks``; results come back in task order."""
+    def run(self, tasks: Sequence[Task], progress=None,
+            stop=None) -> list[TaskResult]:
+        """Execute ``tasks``; results come back in task order.
+
+        ``stop`` (a :class:`threading.Event`, or anything with
+        ``is_set()``) ends the run early once it reads as set: no
+        further task starts, and every task not finished by then comes
+        back ``CANCELLED`` (see the module notes).
+        """
         tasks = list(tasks)
-        if not tasks:
-            return []
+        results: list[TaskResult | None] = [None] * len(tasks)
         if not self.parallel:
-            return self._run_serial(tasks, progress)
-        return self._run_executor(tasks, progress)
+            self._run_serial(tasks, progress, stop, results)
+        elif tasks:
+            self._run_executor(tasks, progress, stop, results)
+        return [result if result is not None
+                else TaskResult(key=task.key, status=Status.CANCELLED,
+                                worker=self.backend)
+                for task, result in zip(tasks, results)]
 
     # ------------------------------------------------------------------
     def _record(self, task: Task, outcome: dict) -> TaskResult:
@@ -229,56 +267,48 @@ class ExecutionPool:
         slot[1] += result.time_seconds
         return result
 
-    def _run_serial(self, tasks, progress) -> list[TaskResult]:
-        results = []
-        for task in tasks:
+    def _run_serial(self, tasks, progress, stop, results) -> None:
+        for index, task in enumerate(tasks):
+            if _stopped(stop):
+                return
             outcome = _invoke(task.fn, task.args, task.budget,
                               task.deadline_at, "serial")
-            result = self._record(task, outcome)
-            results.append(result)
+            results[index] = self._record(task, outcome)
             if progress is not None:
-                progress(result)
-        return results
+                progress(results[index])
 
-    def _run_executor(self, tasks, progress) -> list[TaskResult]:
+    def _run_executor(self, tasks, progress, stop, results) -> None:
         executor_class = (ThreadPoolExecutor if self.backend == "thread"
                           else ProcessPoolExecutor)
-        results: list[TaskResult | None] = [None] * len(tasks)
-        with executor_class(max_workers=self.jobs) as executor:
-            futures = {}
-            try:
-                for index, task in enumerate(tasks):
-                    future = executor.submit(_invoke, task.fn, task.args,
-                                             task.budget,
-                                             task.deadline_at,
-                                             self.backend)
-                    futures[future] = index
-                pending = set(futures)
-                while pending:
-                    done, pending = wait(pending,
-                                         return_when=FIRST_COMPLETED)
-                    for future in done:
-                        index = futures[future]
-                        task = tasks[index]
-                        try:
-                            outcome = future.result()
-                        except BaseException as error:  # pool breakage
-                            outcome = {"value": None, "error": error,
-                                       "worker": f"{self.backend}-lost",
-                                       "time": 0.0}
-                        result = self._record(task, outcome)
-                        results[index] = result
-                        if progress is not None:
-                            progress(result)
-            except KeyboardInterrupt:
-                for future, index in futures.items():
-                    if future.cancel() or results[index] is None:
-                        results[index] = TaskResult(
-                            key=tasks[index].key, status=Status.CANCELLED,
-                            worker=self.backend)
-                executor.shutdown(wait=False, cancel_futures=True)
-                raise
-        return [result for result in results if result is not None]
+        executor = executor_class(max_workers=self.jobs)
+        try:
+            futures = {
+                executor.submit(_invoke, task.fn, task.args, task.budget,
+                                task.deadline_at, self.backend): index
+                for index, task in enumerate(tasks)}
+            pending = set(futures)
+            poll = None if stop is None else _STOP_POLL_S
+            while pending and not _stopped(stop):
+                done, pending = wait(pending, timeout=poll,
+                                     return_when=FIRST_COMPLETED)
+                for future in done:
+                    index = futures[future]
+                    try:
+                        outcome = future.result()
+                    except BaseException as error:  # pool breakage
+                        outcome = {"value": None, "error": error,
+                                   "worker": f"{self.backend}-lost",
+                                   "time": 0.0}
+                    results[index] = self._record(tasks[index], outcome)
+                    if progress is not None:
+                        progress(results[index])
+        except BaseException:
+            _abandon(executor)
+            raise
+        if pending:
+            _abandon(executor)
+        else:
+            executor.shutdown()
 
     def __repr__(self) -> str:
         return f"ExecutionPool(jobs={self.jobs}, backend={self.backend!r})"

@@ -9,9 +9,8 @@ The runner owns no dispatch logic: a configuration name (``pact_xor``,
 a counter, the instance becomes a :class:`repro.api.Problem`, and the
 preset becomes a :class:`repro.api.CountRequest`.  :func:`run_matrix`
 counts every slot in one :meth:`repro.api.Session.count_batch`, so slots
-share the session's pool, result store and artifact store, and a slot's
-cache key is the one every other count of the same problem and request
-uses.
+share the session's pool and result store, and a slot's cache key is
+the one every other count of the same problem and request uses.
 """
 
 from __future__ import annotations

@@ -12,9 +12,8 @@ modules:
 * :mod:`repro.serve.metrics` — counters / gauges / histograms behind
   ``GET /metrics`` and the shutdown summary;
 * :mod:`repro.serve.store` — :class:`SqliteStore`, the one persistent
-  store: results, compiled artifacts and ``exact:cc`` component counts
-  in one WAL-mode database (merge-on-write, safe under multiple
-  processes);
+  store: results and ``exact:cc`` component counts in one WAL-mode
+  database (merge-on-write, safe under multiple processes);
 * :mod:`repro.serve.server` — :class:`CountingService`: routes,
   worker coroutines, cooperative drain.
 

@@ -453,7 +453,7 @@ class CountingService:
         counters = job.payload.get("counters")
         outcome = self.session.portfolio(
             problem, counters, self._request(job.payload),
-            timeout=remaining)
+            timeout=remaining, deadline=self._deadline(remaining))
         document = {"job": job.id,
                     "status": (str(Status.OK) if outcome.solved
                                else "unsolved"),

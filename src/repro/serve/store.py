@@ -1,8 +1,9 @@
 """The one persistent store: one WAL-mode sqlite database holding
 fingerprint-keyed results (``entries``, the payloads
-:meth:`repro.api.request.CountResponse.to_payload` writes),
-digest-keyed compiled artifacts (``artifacts``) and ``exact:cc``'s
-component counts (``components``).
+:meth:`repro.api.request.CountResponse.to_payload` writes) and
+``exact:cc``'s component counts (``components``).  A database written
+by an earlier version may also hold an ``artifacts`` table of compiled
+artifacts; it is never read or written.
 
 Every mutation is its own transaction and merges on write (``INSERT ..
 ON CONFLICT DO UPDATE`` keeps the first ``saved_at``), so processes
@@ -31,26 +32,16 @@ __all__ = ["SqliteStore", "database_path", "open_wal"]
 
 SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
 DEFAULT_FILENAME = "pact-cache.sqlite"
-DEFAULT_MAX_ARTIFACTS = 256
 BUSY_TIMEOUT_S = 30.0
 
-# ``artifacts.simplified`` is always 1; it stays in the key so databases
-# written by earlier versions keep hitting.  Component counts are
-# decimal text: projected counts routinely exceed 2**63, the ceiling of
-# sqlite's INTEGER affinity.
+# Component counts are decimal text: projected counts routinely exceed
+# 2**63, the ceiling of sqlite's INTEGER affinity.
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS entries (
     fingerprint TEXT PRIMARY KEY,
     payload     TEXT NOT NULL,
     saved_at    REAL NOT NULL,
     used_at     REAL NOT NULL
-);
-CREATE TABLE IF NOT EXISTS artifacts (
-    digest     TEXT NOT NULL,
-    simplified INTEGER NOT NULL,
-    payload    TEXT NOT NULL,
-    used_at    REAL NOT NULL,
-    PRIMARY KEY (digest, simplified)
 );
 CREATE TABLE IF NOT EXISTS components (
     signature  TEXT NOT NULL,
@@ -125,29 +116,21 @@ def _json_object(text: str) -> dict | None:
 
 
 class SqliteStore:
-    """Results, artifacts and component counts in one database file.
+    """Results and component counts in one database file.
 
     ``max_entries`` bounds the results (least-recently-used eviction at
     :meth:`flush`; recency is refreshed on hits only when bounded, so an
-    all-hit unbounded run stays read-only); ``max_artifacts`` bounds the
-    artifacts (LRU trim at :meth:`put_artifact`).  ``None`` means
-    unbounded.  Results default to unbounded (rows are tiny); artifacts
-    default to :data:`DEFAULT_MAX_ARTIFACTS` since a compile can always
-    re-create them.
+    all-hit unbounded run stays read-only); the default ``None`` means
+    unbounded (rows are tiny).
     """
 
     def __init__(self, path: str | os.PathLike,
-                 max_entries: int | None = None,
-                 max_artifacts: int | None = DEFAULT_MAX_ARTIFACTS):
+                 max_entries: int | None = None):
         self.path = Path(path)
         self.max_entries = max_entries
-        self.max_artifacts = max_artifacts
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.artifact_hits = 0
-        self.artifact_misses = 0
-        self.artifact_evictions = 0
         self.loaded = 0
         self.flushed = 0
         self.corrupt = 0
@@ -212,57 +195,6 @@ class SqliteStore:
                 " (SELECT fingerprint FROM entries"
                 "  ORDER BY used_at ASC LIMIT ?)", (excess,))
             self.evictions += cursor.rowcount
-            self._conn.commit()
-
-    # ------------------------------------------------------------------
-    # compiled artifacts
-    # ------------------------------------------------------------------
-    def get_artifact(self, digest: str) -> dict | None:
-        """Load a compiled-artifact payload (None on miss/corruption)."""
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT payload FROM artifacts"
-                " WHERE digest = ? AND simplified = 1",
-                (digest,)).fetchone()
-            payload = None if row is None else _json_object(row[0])
-            if payload is None:
-                self.artifact_misses += 1
-                return None
-            self._conn.execute(
-                "UPDATE artifacts SET used_at = ?"
-                " WHERE digest = ? AND simplified = 1",
-                (time.time(), digest))
-            self._conn.commit()
-            self.artifact_hits += 1
-            return payload
-
-    def has_artifact(self, digest: str) -> bool:
-        """Existence check without touching hit/miss accounting."""
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT 1 FROM artifacts"
-                " WHERE digest = ? AND simplified = 1",
-                (digest,)).fetchone()
-            return row is not None
-
-    def put_artifact(self, digest: str, payload: Mapping) -> None:
-        """Persist a compiled-artifact payload, then LRU-trim."""
-        with self._lock:
-            self._conn.execute(
-                "INSERT INTO artifacts (digest, simplified, payload,"
-                " used_at) VALUES (?, 1, ?, ?)"
-                " ON CONFLICT(digest, simplified) DO UPDATE SET"
-                " payload = excluded.payload,"
-                " used_at = excluded.used_at",
-                (digest, json.dumps(dict(payload)), time.time()))
-            if self.max_artifacts is not None:
-                cursor = self._conn.execute(
-                    "DELETE FROM artifacts WHERE (digest, simplified) IN"
-                    " (SELECT digest, simplified FROM artifacts"
-                    "  ORDER BY used_at ASC"
-                    "  LIMIT max(0, (SELECT COUNT(*) FROM artifacts)"
-                    "             - ?))", (self.max_artifacts,))
-                self.artifact_evictions += max(0, cursor.rowcount)
             self._conn.commit()
 
     # ------------------------------------------------------------------
@@ -343,10 +275,7 @@ class SqliteStore:
     @property
     def stats(self) -> dict:
         return {"hits": self.hits, "misses": self.misses,
-                "entries": len(self), "evictions": self.evictions,
-                "artifact_hits": self.artifact_hits,
-                "artifact_misses": self.artifact_misses,
-                "artifact_evictions": self.artifact_evictions}
+                "entries": len(self), "evictions": self.evictions}
 
     def close(self) -> None:
         with self._lock:

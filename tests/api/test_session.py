@@ -127,6 +127,38 @@ class TestCache:
                     in _rows(tmp_path, "SELECT payload FROM entries")]
         assert statuses == ["ok"]
 
+    def test_concurrent_thread_writers_share_the_store(self, tmp_path):
+        """The serving layer's worker threads call ``count`` on one
+        shared session concurrently: the store's one locked connection
+        must keep every row whole, and every response must be
+        correct."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        problems = [_problem(f"ss_thread_{n}", bound=50 + n)
+                    for n in range(6)]
+        baseline = {problem.name:
+                    Session().count(problem, _request()).estimate
+                    for problem in problems}
+        with Session(cache_dir=tmp_path) as session:
+            with ThreadPoolExecutor(max_workers=8) as executor:
+                # Each problem counted twice, interleaved across
+                # threads: writes and lookups race on the same rows.
+                responses = list(executor.map(
+                    lambda problem: session.count(problem, _request()),
+                    problems * 2))
+        assert all(response.solved for response in responses)
+        for response in responses:
+            assert response.estimate == baseline[response.problem]
+        # Every stored result is a JSON object (no torn concurrent
+        # writes) under its problem's fingerprint.
+        fingerprints = {
+            problem.fingerprint(_request().cache_params("pact:xor"))
+            for problem in problems}
+        rows = _rows(tmp_path, "SELECT fingerprint, payload FROM entries")
+        assert {fingerprint for fingerprint, _ in rows} == fingerprints
+        for _, payload in rows:
+            assert isinstance(json.loads(payload), dict)
+
 
 class TestBatch:
     def _problems(self, tag):
@@ -248,94 +280,3 @@ def test_in_process_pools_never_print_the_problem(monkeypatch, jobs,
 
     monkeypatch.setattr(Problem, "script", property(unprintable))
     assert answers(Session(pool=ExecutionPool(jobs, backend))) == expected
-
-
-class TestArtifactStore:
-    def test_artifact_persisted_and_preloaded(self, tmp_path):
-        from repro.compile import compile_counters, reset_compile_memo
-        from repro.smt.terms import bv_ult, bv_val, bv_var
-
-        x = bv_var("ss_artifact", 8)
-        problem = Problem.from_terms([bv_ult(x, bv_val(150, 8))], [x])
-        reset_compile_memo()
-        try:
-            with Session(cache_dir=tmp_path) as session:
-                first = session.count(problem, CountRequest(
-                    counter="pact:xor", seed=5, iteration_override=2))
-            assert first.solved
-            assert _rows(tmp_path, "SELECT digest FROM artifacts"
-                                   " WHERE simplified = 1") == [
-                (problem.compile_key,)]
-            assert compile_counters()["builds"] == 1
-
-            # A "cold process": memo wiped, result cache missed (new
-            # seed) — the artifact store must satisfy the compile.
-            reset_compile_memo()
-            with Session(cache_dir=tmp_path) as session:
-                second = session.count(problem, CountRequest(
-                    counter="pact:xor", seed=6, iteration_override=2))
-            assert second.solved and not second.cached
-            assert compile_counters()["builds"] == 0
-        finally:
-            reset_compile_memo()
-
-    def test_corrupt_artifact_recompiles(self, tmp_path):
-        from repro.compile import reset_compile_memo
-        from repro.smt.terms import bv_ult, bv_val, bv_var
-
-        x = bv_var("ss_corrupt", 8)
-        problem = Problem.from_terms([bv_ult(x, bv_val(99, 8))], [x])
-        reset_compile_memo()
-        try:
-            with Session(cache_dir=tmp_path) as session:
-                assert session.count(problem, CountRequest(
-                    counter="pact:xor", seed=5,
-                    iteration_override=2)).solved
-            _rows(tmp_path, "UPDATE artifacts SET payload = '{broken'")
-            reset_compile_memo()
-            with Session(cache_dir=tmp_path) as session:
-                response = session.count(problem, CountRequest(
-                    counter="pact:xor", seed=7, iteration_override=2))
-            assert response.solved
-        finally:
-            reset_compile_memo()
-
-    def test_concurrent_thread_writers_share_the_artifact_store(
-            self, tmp_path):
-        """The serving layer's worker threads call ``count`` on one
-        shared session concurrently: ``_preload_artifact`` /
-        ``_persist_artifact`` must stay race-free (one locked store
-        connection) and every response must be correct."""
-        from concurrent.futures import ThreadPoolExecutor
-
-        from repro.compile import reset_compile_memo
-
-        problems = [_problem(f"ss_thread_{n}", bound=50 + n)
-                    for n in range(6)]
-        baseline = {problem.name:
-                    Session().count(problem, _request()).estimate
-                    for problem in problems}
-        reset_compile_memo()
-        try:
-            session = Session(cache_dir=tmp_path)
-            with ThreadPoolExecutor(max_workers=8) as executor:
-                # Each problem counted twice, interleaved across
-                # threads — both compile-then-persist and preload paths
-                # race on the same digests.
-                responses = list(executor.map(
-                    lambda problem: session.count(problem, _request()),
-                    problems * 2))
-            session.close()
-        finally:
-            reset_compile_memo()
-        assert all(response.solved for response in responses)
-        for response in responses:
-            assert response.estimate == baseline[response.problem]
-        # Every stored artifact round-trips as a JSON object (no torn
-        # concurrent writes) under its problem's digest.
-        artifacts = _rows(tmp_path, "SELECT digest, payload FROM artifacts")
-        assert artifacts
-        digests = {digest for digest, _ in artifacts}
-        assert digests <= {problem.compile_key for problem in problems}
-        for _, payload in artifacts:
-            assert isinstance(json.loads(payload), dict)

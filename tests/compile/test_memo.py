@@ -7,10 +7,7 @@ import threading
 import pytest
 
 from repro.api import CountRequest, Problem, Session
-from repro.compile import (
-    compile_counters, compiled_for, peek_compiled,
-    preseed_compile_memo, reset_compile_memo,
-)
+from repro.compile import compile_counters, compiled_for, reset_compile_memo
 from repro.core import PactConfig
 from repro.core.pact import PactMethod
 from repro.engine.fanout import _chain_task
@@ -65,16 +62,6 @@ class TestExactlyOnce:
             thread.join()
         assert compile_counters()["builds"] == 1
         assert all(artifact is results[0] for artifact in results)
-
-    def test_preseed_counts_as_no_build(self):
-        assertions, projection = _formula("memo_d")
-        artifact = compiled_for(assertions, projection, digest="seed1")
-        reset_compile_memo()
-        preseed_compile_memo(artifact)
-        assert peek_compiled("seed1") is artifact
-        again = compiled_for(assertions, projection, digest="seed1")
-        assert again is artifact
-        assert compile_counters()["builds"] == 0
 
 
 class TestBoundedSideTables:

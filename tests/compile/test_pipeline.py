@@ -1,10 +1,10 @@
-"""The staged compile pipeline: artifact structure, reconstruction,
-DIMACS export and the on-disk payload round trip."""
+"""The staged compile pipeline: artifact structure, reconstruction and
+DIMACS export."""
 
 import pytest
 
 from repro.benchgen.suite import build_suite
-from repro.compile import STAGES, CompiledProblem, compile_problem
+from repro.compile import STAGES, compile_problem
 from repro.core.cells import CallCounter, saturating_count
 from repro.core.enumerate import exact_count
 from repro.sat.dimacs import load_solver, parse_dimacs_document
@@ -86,35 +86,10 @@ class TestArtifactStructure:
         assertions = [bv_ult(x, bv_val(9, 4)), real_lt(r, real_val(2))]
         artifact = compile_problem(assertions, [x], digest="t")
         assert artifact.atoms
-        assert not artifact.persistable
-        with pytest.raises(ValueError):
-            artifact.to_payload()
         solver = SmtSolver.from_compiled(artifact)
         assert solver.lra.has_atoms()
         assert saturating_count(solver, [x], BIG, Deadline(60),
                                 CallCounter()) == 9
-
-
-class TestPayloadRoundTrip:
-    def test_counts_survive_json(self):
-        instance = _instances()[0]
-        artifact = compile_problem(instance.assertions,
-                                   instance.projection, digest="rt")
-        assert artifact.persistable
-        import json
-        revived = CompiledProblem.from_payload(
-            json.loads(json.dumps(artifact.to_payload())))
-        assert revived.digest == "rt"
-        assert revived.snapshot == artifact.snapshot
-        assert revived.projection == artifact.projection
-        assert revived.projection_bits == artifact.projection_bits
-        assert _exact_via(revived) == instance.known_count
-
-    def test_corrupt_payload_raises(self):
-        with pytest.raises((KeyError, TypeError, ValueError)):
-            CompiledProblem.from_payload({"version": 99})
-        with pytest.raises((KeyError, TypeError, ValueError)):
-            CompiledProblem.from_payload({"version": 1, "digest": "x"})
 
 
 class TestDimacsExport:

@@ -1,11 +1,15 @@
-"""ExecutionPool: backends, ordering, budgets, failure classification."""
+"""ExecutionPool: backends, ordering, budgets, failure classification,
+stopping a run early."""
 
+import os
+import threading
 import time
 
 import pytest
 
 from repro.engine.pool import BACKENDS, ExecutionPool, Task
 from repro.errors import SolverTimeoutError
+from repro.status import Status
 
 
 # Module-level task bodies so the process backend can pickle them.
@@ -28,6 +32,26 @@ def too_slow(budget=None):
 def slow_square(value, budget=None):
     time.sleep(0.05)
     return value * value
+
+
+def sleep_then_return(key, seconds, directory, budget=None):
+    """Record the running process's pid under ``directory``, then
+    sleep."""
+    (directory / f"{key}.pid").write_text(str(os.getpid()))
+    time.sleep(seconds)
+    return key
+
+
+def _gone(pid, within=10.0):
+    """True once ``pid`` no longer exists (killed and reaped)."""
+    deadline = time.monotonic() + within
+    while time.monotonic() < deadline:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return True
+        time.sleep(0.05)
+    return False
 
 
 class TestConstruction:
@@ -119,3 +143,24 @@ class TestRun:
         tasks_counted = sum(count for count, _ in pool.worker_times.values())
         assert tasks_counted == 4
         assert all(busy > 0 for _, busy in pool.worker_times.values())
+
+
+class TestStop:
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_stop_cancels_what_has_not_finished(self, backend, tmp_path):
+        """Once ``progress`` sets ``stop``, the run returns at once: the
+        tasks that would sleep a minute come back cancelled, and no
+        worker process is left running them."""
+        stop = threading.Event()
+        tasks = [Task(key=key, fn=sleep_then_return,
+                      args=(key, 0.0 if key == 0 else 60.0, tmp_path))
+                 for key in range(3)]
+        started = time.monotonic()
+        results = ExecutionPool(2, backend).run(
+            tasks, progress=lambda result: stop.set(), stop=stop)
+        assert time.monotonic() - started < 10.0
+        assert results[0].ok and results[0].value == 0
+        assert [result.status for result in results[1:]] == [
+            Status.CANCELLED] * 2
+        workers = {int(path.read_text()) for path in tmp_path.glob("*.pid")}
+        assert all(_gone(pid) for pid in workers - {os.getpid()})

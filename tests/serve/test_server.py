@@ -4,6 +4,8 @@ import asyncio
 import json
 import time
 
+import pytest
+
 from repro.api import Session
 from repro.serve.http import http_request
 from repro.serve.server import CountingService, ServeConfig
@@ -287,6 +289,37 @@ class TestDrainAndShutdown:
             assert isinstance(summary, dict)
             assert "counters" in summary and "histograms" in summary
         _serve(scenario, workers=1)
+
+    @pytest.mark.parametrize("jobs,backend,answer", [
+        (1, "serial", "timeout"), (2, "process", "cancelled")])
+    def test_drain_stops_a_running_portfolio(self, jobs, backend, answer):
+        """The drain reaches a racing counter: through the portfolio's
+        token in this process (cdm times out), by the pool killing a
+        process worker (cdm is cancelled).  Shutdown returns promptly,
+        and the job answers with the race's own outcome, not the
+        shut-down notice."""
+        from repro.benchgen.generators import GENERATORS
+        script = GENERATORS["QF_BVFP"](5, width=12).to_smtlib()
+
+        async def scenario(service):
+            status, _, accepted = await _post(
+                service, "/portfolio",
+                {"script": script, "counters": ["cdm"], "seed": 11,
+                 "mode": "async"})
+            assert status == 202
+            running = time.monotonic() + 10.0
+            while not service._running and time.monotonic() < running:
+                await asyncio.sleep(0.02)
+            assert service._running
+            started = time.monotonic()
+            await service.shutdown(drain_timeout=0.1)
+            assert time.monotonic() - started < 3.0
+            result = service._completed[accepted["job"]].result
+            assert result["status"] == "unsolved"
+            assert [entry["status"] for entry in result["entries"]] == [
+                answer]
+        _serve(scenario, session=Session(jobs=jobs, backend=backend),
+               default_timeout=20)
 
     def test_clean_shutdown_summary_counts_the_traffic(self, tmp_path):
         async def scenario(service):

@@ -175,49 +175,16 @@ class TestResultStoreContract:
             assert reopened.get("fp2")["estimate"] == 9
 
 
-class TestArtifacts:
-    def test_round_trip_lands_in_the_simplified_row(self, tmp_path):
-        """Artifacts live in the ``simplified = 1`` row, where stores
-        written by earlier versions keep theirs."""
-        path = tmp_path / "store.sqlite"
-        store = SqliteStore(path)
-        assert not store.has_artifact("d1")
-        store.put_artifact("d1", {"cnf": [1, 2]})
-        assert store.has_artifact("d1")
-        assert store.get_artifact("d1") == {"cnf": [1, 2]}
-        assert store.artifact_hits == 1
-        assert store.get_artifact("missing") is None
-        assert store.artifact_misses == 1
-        store.close()
-        with sqlite3.connect(path) as conn:
-            rows = conn.execute(
-                "SELECT digest, simplified, payload FROM artifacts"
-            ).fetchall()
-        assert rows == [("d1", 1, json.dumps({"cnf": [1, 2]}))]
-
-    def test_lru_trim_at_put(self, tmp_path):
-        store = SqliteStore(tmp_path / "store.sqlite", max_artifacts=2)
-        for n in range(4):
-            store.put_artifact(f"d{n}", {"n": n})
-        assert store.artifact_evictions == 2
-        assert store.evictions == 0   # result-row evictions stay separate
-        assert not store.has_artifact("d0")
-        assert store.has_artifact("d3")
-        store.close()
-
-    def test_corrupt_artifact_reads_as_miss(self, tmp_path):
-        store = SqliteStore(tmp_path / "store.sqlite")
-        with sqlite3.connect(store.path) as conn:
-            conn.executemany(
-                "INSERT INTO artifacts VALUES (?, 1, ?, 1.0)",
-                [("bad", "{broken"), ("list", "[1, 2]")])
-        assert store.get_artifact("bad") is None
-        assert store.get_artifact("list") is None
-        assert store.artifact_misses == 2
-        store.close()
-
-
 class TestOpenStore:
+    def test_fresh_file_holds_results_and_components_only(self, tmp_path):
+        path = tmp_path / "store.sqlite"
+        SqliteStore(path).close()
+        with sqlite3.connect(path) as connection:
+            tables = connection.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'"
+                " ORDER BY name").fetchall()
+        assert tables == [("components",), ("entries",)]
+
     def test_sqlite_suffixes_open_sqlite(self, tmp_path):
         for name in ("a.sqlite", "b.sqlite3", "c.db"):
             assert database_path(tmp_path / name) == tmp_path / name
@@ -282,7 +249,6 @@ class TestConcurrency:
                 for n in range(25):
                     store.put(f"fp-{base}-{n}", PAYLOAD)
                     store.get(f"fp-{base}-{n}")
-                    store.put_artifact(f"d-{base}-{n}", {"n": n})
             except Exception as error:  # noqa: BLE001
                 errors.append(error)
 
@@ -336,12 +302,6 @@ class TestDifferential:
         assert stored.pop("used_at") >= PAYLOAD["saved_at"]
         assert stored == PAYLOAD
 
-    def test_artifact_round_trip_is_identical(self, tmp_path):
-        payload = {"digest": "d1", "cnf": [[1, -2], [2]], "vars": 2}
-        with SqliteStore(tmp_path / "store.sqlite") as store:
-            store.put_artifact("d1", payload)
-            assert store.get_artifact("d1") == payload
-
     def test_same_response_counting_against_either_backend(self, tmp_path):
         """Counting with no store, through a store, and replaying the
         stored row all give the same response."""
@@ -380,8 +340,8 @@ CREATE TABLE IF NOT EXISTS artifacts (
 class TestEarlierDatabases:
     def test_parent_results_database_serves_hits(self, tmp_path):
         """A results database built with the earlier DDL serves its
-        rows: the result as a cache hit, the artifact with no
-        recompile."""
+        result rows as cache hits; its ``artifacts`` rows are neither
+        read nor written, so a count that misses compiles once."""
         from repro.compile import compile_counters, reset_compile_memo
 
         problem = _problem("store_parent")
@@ -393,10 +353,8 @@ class TestEarlierDatabases:
                 rows = session.cache._conn.execute(
                     "SELECT fingerprint, payload, saved_at, used_at"
                     " FROM entries").fetchall()
-                artifacts = session.cache._conn.execute(
-                    "SELECT digest, simplified, payload, used_at"
-                    " FROM artifacts").fetchall()
             path = tmp_path / "parent.sqlite"
+            artifacts = [(problem.compile_key, 1, '{"version": 1}', 1.0)]
             with sqlite3.connect(path) as connection:
                 connection.executescript(PARENT_RESULTS_DDL)
                 connection.executemany(
@@ -410,7 +368,9 @@ class TestEarlierDatabases:
             assert replayed.cached
             assert replayed.estimate == solved.estimate
             assert not reseeded.cached and reseeded.solved
-            assert session.cache.artifact_hits == 1
-            assert compile_counters()["builds"] == 0
+            assert compile_counters()["builds"] == 1
+            with sqlite3.connect(path) as connection:
+                assert connection.execute(
+                    "SELECT * FROM artifacts").fetchall() == artifacts
         finally:
             reset_compile_memo()

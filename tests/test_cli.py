@@ -273,6 +273,33 @@ class TestPortfolio:
                      "pact:md5"]) == 2
         assert "unknown counter" in capsys.readouterr().err
 
+    def test_process_pool_portfolio_stops_its_losers(self, tmp_path):
+        """pact:xor wins in about a second; cdm, which would count on
+        for minutes in its worker process, is stopped, so the command
+        exits.  Capped at 60 s, after which its process group dies."""
+        from repro.benchgen.generators import GENERATORS
+        path = tmp_path / "guard_12w.smt2"
+        path.write_text(GENERATORS["QF_BVFP"](5, width=12).to_smtlib())
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        race = subprocess.Popen(
+            [sys.executable, "-m", "repro", "portfolio", str(path),
+             "--counters", "pact:xor,cdm", "--jobs", "2",
+             "--backend", "process"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            text=True, start_new_session=True)
+        try:
+            output, _ = race.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(race.pid, signal.SIGKILL)
+            output, _ = race.communicate()
+            pytest.fail(f"the portfolio ran past 60 s:\n{output}")
+        assert race.returncode == 0, output
+        assert "c winner pact:xor" in output
+        (cdm,) = [line for line in output.splitlines()
+                  if line.split()[1:2] == ["cdm"]]
+        assert "cancelled" in cdm
+
 
 class TestGenerate:
     def test_generate_writes_files(self, tmp_path, capsys):
