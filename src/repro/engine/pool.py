@@ -235,13 +235,14 @@ class ExecutionPool:
         ``stop`` (a :class:`threading.Event`, or anything with
         ``is_set()``) ends the run early once it reads as set: no
         further task starts, and every task not finished by then comes
-        back ``CANCELLED`` (see the module notes).
+        back ``CANCELLED`` (see the module notes).  A ``stop`` already
+        set starts no task at all.
         """
         tasks = list(tasks)
         results: list[TaskResult | None] = [None] * len(tasks)
         if not self.parallel:
             self._run_serial(tasks, progress, stop, results)
-        elif tasks:
+        elif tasks and not _stopped(stop):
             self._run_executor(tasks, progress, stop, results)
         return [result if result is not None
                 else TaskResult(key=task.key, status=Status.CANCELLED,

@@ -252,6 +252,27 @@ class TestPortfolio:
         assert len(outcome.entries) == len(self.COUNTERS)
         assert outcome.response.estimate is not None
 
+    @pytest.mark.parametrize("jobs,backend", [
+        (1, "serial"), (2, "thread"), (2, "process")])
+    def test_expired_outer_deadline_cancels_every_racer(self, jobs,
+                                                        backend):
+        """An outer deadline that has already expired (a server drain
+        that came first) starts no racer: each entry is cancelled and
+        reported as such, and there is no winner."""
+        from repro.utils.deadline import Deadline
+        events = []
+        outcome = Session(jobs=jobs, backend=backend).portfolio(
+            _problem("ss_port6"), self.COUNTERS, _request(),
+            deadline=Deadline(0), progress=events.append)
+        assert outcome.winner is None and not outcome.solved
+        assert [entry.counter for entry in outcome.entries] == list(
+            self.COUNTERS)
+        assert all(entry.status is Status.CANCELLED
+                   and entry.detail == "portfolio: deadline expired"
+                   for entry in outcome.entries)
+        assert [(event.kind, event.counter) for event in events] == [
+            ("cancelled", name) for name in self.COUNTERS]
+
 
 @pytest.mark.parametrize("jobs,backend", [(1, "serial"), (2, "thread")])
 def test_in_process_pools_never_print_the_problem(monkeypatch, jobs,

@@ -42,6 +42,18 @@ def sleep_then_return(key, seconds, directory, budget=None):
     return key
 
 
+def mark_then_return(key, directory, budget=None):
+    """Leave a marker under ``directory`` that this task ran."""
+    (directory / f"{key}.ran").touch()
+    return key
+
+
+def wait_for_gate(key, gate, budget=None):
+    """Block until ``gate`` is set (thread backend: the test's Event)."""
+    gate.wait(60.0)
+    return key
+
+
 def _gone(pid, within=10.0):
     """True once ``pid`` no longer exists (killed and reaped)."""
     deadline = time.monotonic() + within
@@ -164,3 +176,39 @@ class TestStop:
             Status.CANCELLED] * 2
         workers = {int(path.read_text()) for path in tmp_path.glob("*.pid")}
         assert all(_gone(pid) for pid in workers - {os.getpid()})
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_stop_already_set_starts_nothing(self, backend, tmp_path):
+        """A run handed a ``stop`` that is already set (a portfolio
+        whose outer deadline expired first) runs no task, not even one
+        that a worker would pick up after ``run`` returned."""
+        stop = threading.Event()
+        stop.set()
+        tasks = [Task(key=key, fn=mark_then_return, args=(key, tmp_path))
+                 for key in range(3)]
+        results = ExecutionPool(2, backend).run(tasks, stop=stop)
+        assert [result.key for result in results] == [0, 1, 2]
+        assert [result.status for result in results] == [
+            Status.CANCELLED] * 3
+        time.sleep(0.5)
+        assert list(tmp_path.glob("*.ran")) == []
+
+    def test_thread_run_returns_while_a_task_still_runs(self):
+        """A thread cannot be killed, but the run does not wait for it:
+        once ``stop`` is set it returns with the running and the queued
+        task cancelled, and the blocked thread ends when its gate
+        opens."""
+        stop, gate = threading.Event(), threading.Event()
+        tasks = [Task(key=0, fn=square, args=(3,))] + [
+            Task(key=key, fn=wait_for_gate, args=(key, gate))
+            for key in (1, 2)]
+        started = time.monotonic()
+        try:
+            results = ExecutionPool(2, "thread").run(
+                tasks, progress=lambda result: stop.set(), stop=stop)
+            assert time.monotonic() - started < 10.0
+        finally:
+            gate.set()
+        assert results[0].ok and results[0].value == 9
+        assert [result.status for result in results[1:]] == [
+            Status.CANCELLED] * 2
